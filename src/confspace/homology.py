@@ -1,28 +1,30 @@
-"""Integral simplicial homology via Smith normal form.
+"""Integral simplicial homology by sparse unit-pivot elimination.
 
 Simplices are tuples of vertex indices in strictly increasing order, so the
 orientation convention is fixed by the vertex order and the boundary maps
 satisfy d(k) . d(k+1) = 0.
+
+A boundary map is held as sparse columns, every entry +-1.  Its invariant
+factors come from ``invariant_factors``: elimination over Z that pivots on
++-1 entries (each pivot is one unit invariant factor), followed by dense
+Smith normal form (``smith_diagonal``) on whatever residual block is left
+with no unit entry.  For the ratio complexes that residual is empty; a
+complex with torsion such as the projective plane leaves a small one.
 """
 
 from __future__ import annotations
 
 
 def boundary_matrix(faces, simplices):
-    """Matrix of the boundary map into the span of ``faces``.
+    """Sparse columns of the boundary map into the span of ``faces``.
 
-    Rows are indexed by the (k-1)-simplices in ``faces``, columns by the
-    k-simplices in ``simplices``; the entry for dropping vertex i is (-1)^i.
+    One dict per k-simplex in ``simplices``, from the row of each
+    (k-1)-face in ``faces`` to its coefficient: (-1)^i for dropping vertex i.
     """
     index = {f: r for r, f in enumerate(faces)}
-    rows = len(faces)
-    cols = len(simplices)
-    mat = [[0] * cols for _ in range(rows)]
-    for c, s in enumerate(simplices):
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1:]
-            mat[index[face]][c] = -1 if i % 2 else 1
-    return mat
+    return [{index[s[:i] + s[i + 1:]]: -1 if i % 2 else 1
+             for i in range(len(s))}
+            for s in simplices]
 
 
 def smith_diagonal(mat):
@@ -110,6 +112,79 @@ def smith_diagonal(mat):
     return diag
 
 
+def _eliminate_units(columns):
+    """Pivot on +-1 entries until none is left.
+
+    Works on copies of ``columns`` (dicts from row to non-zero int).  Each
+    pivot clears its row from every other column by the unimodular column
+    operation ``other -= (other[row] * pivot) * column``; the pivot row then
+    holds one entry, so row and column drop out with invariant factor 1.
+    Columns are visited shortest first, and within a column the pivot is the
+    unit entry whose row lies in the fewest live columns, which keeps fill
+    low.  Passes repeat until one takes no pivot: a column with no unit
+    entry may gain one from a later pivot.
+
+    Returns ``(units, residual)``: the number of pivots and the non-zero
+    columns left, none holding a +-1 entry.
+    """
+    cols = {c: dict(col) for c, col in enumerate(columns) if col}
+    where = {}  # row -> live columns holding it
+    for c, col in cols.items():
+        for r in col:
+            where.setdefault(r, set()).add(c)
+    units = 0
+    progress = True
+    while progress:
+        progress = False
+        for c in sorted(cols, key=lambda c: len(cols[c])):
+            col = cols.get(c)
+            if col is None:
+                continue
+            unit_rows = [r for r, v in col.items() if v == 1 or v == -1]
+            if not unit_rows:
+                continue
+            row = min(unit_rows, key=lambda r: len(where[r]))
+            pivot = col[row]
+            del cols[c]
+            for r in col:
+                where[r].discard(c)
+            for o in where.pop(row):
+                other = cols[o]
+                f = other.pop(row) * pivot
+                for r, v in col.items():
+                    if r == row:
+                        continue
+                    x = other.get(r, 0) - f * v
+                    if x:
+                        if r not in other:
+                            where[r].add(o)
+                        other[r] = x
+                    else:
+                        del other[r]
+                        where[r].discard(o)
+                if not other:
+                    del cols[o]
+            units += 1
+            progress = True
+    return units, list(cols.values())
+
+
+def invariant_factors(columns):
+    """Invariant factors d_1 | d_2 | ... of a matrix given as sparse columns.
+
+    ``columns`` holds one dict per column, from row index to non-zero
+    integer.  Unit pivots are eliminated first; dense ``smith_diagonal`` runs
+    only on the residual block, and only if one is left.
+    """
+    units, residual = _eliminate_units(columns)
+    factors = [1] * units
+    if residual:
+        rows = sorted({r for col in residual for r in col})
+        factors += smith_diagonal([[col.get(r, 0) for col in residual]
+                                   for r in rows])
+    return factors
+
+
 def homology_ranks(simplices_by_dim):
     """Betti numbers and torsion of a complex given all simplices per dim.
 
@@ -123,8 +198,8 @@ def homology_ranks(simplices_by_dim):
             ranks.append(0)
             torsions.append([])
             continue
-        mat = boundary_matrix(simplices_by_dim[k - 1], simplices_by_dim[k])
-        d = smith_diagonal(mat)
+        d = invariant_factors(
+            boundary_matrix(simplices_by_dim[k - 1], simplices_by_dim[k]))
         ranks.append(len(d))
         torsions.append([x for x in d if x > 1])
     out = []

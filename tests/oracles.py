@@ -71,3 +71,25 @@ def brute_orbit_key(simplex, n, act):
         if best is None or key < best:
             best = key
     return best
+
+
+def rank_mod_p(matrix, p):
+    """Rank over GF(p), p prime, of an integer matrix given as rows, by
+    dense Gaussian elimination."""
+    rows = [[x % p for x in row] for row in matrix]
+    cols = len(rows[0]) if rows else 0
+    rank = 0
+    for c in range(cols):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], p - 2, p)
+        top = [x * inv % p for x in rows[rank]]
+        rows[rank] = top
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c]
+            if f:
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], top)]
+        rank += 1
+    return rank

@@ -219,16 +219,30 @@ def test_homology_values():
     assert rep["betti"] == [6]
 
 
+@pytest.mark.parametrize("n, betti, chi", [
+    (7, [1, 421, 0, 0], -420),
+    (8, [1, 925, 0, 0, 0], -924),
+])
+def test_cross_ratio_homology_stays_in_degree_one(n, betti, chi):
+    rep = homology_report(build_complex(n, "cr"))
+    assert rep["betti"] == betti
+    assert rep["torsion"] == [[]] * len(betti)
+    assert rep["chi"] == chi
+
+
 def test_boundary_of_boundary_vanishes():
     c = build_complex(6, "cr")
     by_dim = c.all_simplices_by_dim()
+    assert len(by_dim) == 3
     for k in range(2, len(by_dim)):
         d1 = homology.boundary_matrix(by_dim[k - 2], by_dim[k - 1])
         d2 = homology.boundary_matrix(by_dim[k - 1], by_dim[k])
-        for col in range(len(by_dim[k])):
-            vec = [d2[r][col] for r in range(len(by_dim[k - 1]))]
-            for r in range(len(by_dim[k - 2])):
-                assert sum(d1[r][i] * vec[i] for i in range(len(vec))) == 0
+        for col in d2:
+            image = {}
+            for i, v in col.items():
+                for r, w in d1[i].items():
+                    image[r] = image.get(r, 0) + w * v
+            assert not any(image.values())
 
 
 def test_homology_independent_of_vertex_order():
