@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import lcm
+from math import factorial, lcm
 
-
-class CapacityError(RuntimeError):
-    """Raised when an exhaustive search would exceed its supported range."""
+from .ratios import CapacityError
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +198,7 @@ def exponent_sum(w):
 
 
 def _pmul(p, q):
-    return tuple(q[p[i]] for i in range(len(p)))
+    return tuple(map(q.__getitem__, p))
 
 
 def _pinv(p):
@@ -410,83 +408,162 @@ def verify_sym_hom(images, n, k, presentation=ARTIN):
 def hom_from_pair(s, a, n, k):
     """Homomorphism determined by the images of generator 1 and of the
     descending product of all generators; None if inconsistent."""
-    images = [s]
-    ainv = a.inverse()
-    for _ in range(n - 2):
-        images.append(a * images[-1] * ainv)
-    if check_relations(images, n, k) is not None:
+    if s.degree != k or a.degree != k:
+        raise ValueError("images must have degree %d" % k)
+    images = _hom_images(_tuple(s), _tuple(a), n, {})
+    if images is None:
         return None
-    prod = images[0]
-    for im in images[1:]:
-        prod = prod * im
-    if prod != a:
-        return None
-    return SymHom(n, k, tuple(images))
+    return SymHom(n, k, tuple(map(_perm, images)))
 
 
 def is_transitive(h):
     """Whether the generator images act with a single orbit on 1..k."""
-    return len(_orbits(list(h.images), h.k)) == 1
+    return len(_orbits([_tuple(im) for im in h.images], h.k)) == 1
 
 
 def hom_properties(h):
     """Transitivity, image order, cyclicity and a block system if any.
 
-    Computes the full image closure, so intended for small degrees; use
+    Cyclicity needs no closure (see _all_equal).  The image order does:
+    the closure lists the whole image, so this is for small degrees; use
     is_transitive for bulk transitivity scans.
     """
-    gens = [im for im in h.images]
-    orbits = _orbits(gens, h.k)
-    transitive = len(orbits) == 1
-    elements = _closure(gens, h.k)
-    order = len(elements)
-    cyclic = any(e.order() == order for e in elements)
-    blocks = _nontrivial_blocks(gens, h.k) if transitive else None
+    gens = [_tuple(im) for im in h.images]
+    transitive = len(_orbits(gens, h.k)) == 1
+    order = len(_closure(gens, h.k))
     return {
         "transitive": transitive,
         "image_order": order,
-        "cyclic_image": cyclic,
-        "surjective": order == _factorial(h.k),
-        "blocks": blocks,
+        "cyclic_image": _all_equal(gens),
+        "surjective": order == factorial(h.k),
+        "blocks": _nontrivial_blocks(gens, h.k) if transitive else None,
     }
 
 
-def _factorial(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
+# The helpers below work on 0-based image tuples (see _pmul); the public
+# functions take and return Perm values and convert at their boundary.
 
 
-def _orbits(gens, k):
-    parent = list(range(k + 1))
+def _tuple(p):
+    """The 0-based image tuple of a Perm."""
+    return tuple(v - 1 for v in p.images)
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for g in gens:
-        for x in range(1, k + 1):
-            a, b = find(x), find(g(x))
-            if a != b:
-                parent[a] = b
+def _perm(t):
+    return Perm(tuple(v + 1 for v in t))
+
+
+def _hom_images(s, a, n, braids):
+    """Generator images of the homomorphism sending generator 1 to s and
+    the descending product to a, or None if the pair is inconsistent.
+
+    Image i + 1 is a * (image i) * a^-1.  Conjugation by a carries the
+    relation between images i and j to the one between images i + 1 and
+    j + 1, so the relations of image 1 with each later image imply all the
+    others.  Images are built one at a time and the first failing relation
+    ends the candidate.  The braid relation of image 1 with image 2 depends
+    on image 2 alone, so ``braids`` memoizes it for this s: a dict from
+    image 2 to whether the relation holds.
+    """
+    ainv = _pinv(a)
+    images = [s]
+    t = prod = s
+    for j in range(1, n - 1):
+        t = _pmul(_pmul(a, t), ainv)
+        if j == 1:
+            ok = braids.get(t)
+            if ok is None:
+                ok = braids[t] = (_pmul(_pmul(s, t), s)
+                                  == _pmul(_pmul(t, s), t))
+            if not ok:
+                return None
+        elif _pmul(s, t) != _pmul(t, s):
+            return None
+        images.append(t)
+        prod = _pmul(prod, t)
+    return images if prod == a else None
+
+
+def _all_equal(images):
+    """Whether the image of a homomorphism is cyclic.
+
+    A cyclic image is abelian, and commuting images a, b with aba = bab are
+    equal; so the image is cyclic exactly when all generator images are
+    equal, whichever conjugate represents it.
+    """
+    return all(g == images[0] for g in images)
+
+
+def _bfs_code(images, start):
+    """The action on the orbit of start, relabelled in breadth-first order
+    (generators visited in order): the label of g(x) for each point x in
+    label order and each generator g.  Returns the code and the orbit."""
+    label = {start: 0}
+    order = [start]
+    code = []
+    for x in order:
+        for g in images:
+            y = g[x]
+            if y not in label:
+                label[y] = len(order)
+                order.append(y)
+            code.append(label[y])
+    return tuple(code), order
+
+
+def _conjugacy_key(images, k):
+    """Complete invariant of a sequence of permutations of range(k) under
+    simultaneous conjugation: the smallest breadth-first code of each orbit
+    over all its start points, the orbit codes sorted."""
+    seen = set()
+    codes = []
+    for x in range(k):
+        if x in seen:
+            continue
+        code, orbit = _bfs_code(images, x)
+        seen.update(orbit)
+        codes.append(min([code] + [_bfs_code(images, y)[0]
+                                   for y in orbit[1:]]))
+    return tuple(sorted(codes))
+
+
+def _find(parent, x):
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _classes(parent):
+    """The classes of a union-find forest, as sorted lists of 1-based
+    points."""
     groups = {}
-    for x in range(1, k + 1):
-        groups.setdefault(find(x), []).append(x)
+    for x in range(len(parent)):
+        groups.setdefault(_find(parent, x), []).append(x + 1)
     return sorted(groups.values())
 
 
+def _orbits(gens, k):
+    parent = list(range(k))
+    for g in gens:
+        for x in range(k):
+            a, b = _find(parent, x), _find(parent, g[x])
+            if a != b:
+                parent[a] = b
+    return _classes(parent)
+
+
 def _closure(gens, k):
-    identity = Perm.identity(k)
+    """Every element of the group the image tuples generate."""
+    gens = set(gens)
+    identity = _pid(k)
     seen = {identity}
     frontier = [identity]
     while frontier:
         nxt = []
         for p in frontier:
             for g in gens:
-                q = p * g
+                q = _pmul(p, g)
                 if q not in seen:
                     seen.add(q)
                     nxt.append(q)
@@ -495,43 +572,27 @@ def _closure(gens, k):
 
 
 def _min_block_with(gens, k, beta):
-    """Smallest block containing {1, beta}; the classical refinement."""
-    parent = list(range(k + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return None
-        parent[rx] = ry
-        return rx
-
-    union(1, beta)
-    queue = [(1, beta)]
+    """Smallest block containing points 0 and beta; the classical
+    refinement."""
+    parent = list(range(k))
+    parent[0] = beta
+    queue = [(0, beta)]
     while queue:
         x, y = queue.pop()
         for g in gens:
-            gx, gy = g(x), g(y)
-            if find(gx) != find(gy):
-                union(gx, gy)
+            gx, gy = g[x], g[y]
+            rx, ry = _find(parent, gx), _find(parent, gy)
+            if rx != ry:
+                parent[rx] = ry
                 queue.append((gx, gy))
-    groups = {}
-    for x in range(1, k + 1):
-        groups.setdefault(find(x), []).append(x)
-    return sorted(groups.values())
+    return _classes(parent)
 
 
 def _nontrivial_blocks(gens, k):
     """A nontrivial block system of a transitive action, or None."""
-    for beta in range(2, k + 1):
+    for beta in range(1, k):
         blocks = _min_block_with(gens, k, beta)
-        sizes = {len(b) for b in blocks}
-        if len(blocks) > 1 and sizes != {1}:
+        if len(blocks) > 1:
             return blocks
     return None
 
@@ -605,28 +666,30 @@ def search_homs(n, k, include_cyclic=True):
     Every homomorphism is determined by the image pair (generator 1, full
     descending product); up to conjugacy the first image can be fixed to a
     cycle-type representative, so scanning representatives against all of
-    S(k) is exhaustive.  Classes come back deterministically sorted and
-    labeled.
+    S(k) is exhaustive.  The scan runs on image tuples and files each
+    homomorphism that passes the relations under its conjugacy key; the
+    first one seen represents its class, and properties are computed once
+    per class.  Classes come back deterministically sorted and labeled.
     """
     if k > 8:
-        raise CapacityError("exhaustive search supported for k <= 8")
+        raise CapacityError(
+            "exhaustive search supported for k <= 8, the measured budget "
+            "(the slowest case measured, n = k = 8, takes about 7 s)")
     if n < 3:
         raise ValueError("need at least three strands")
+    classes = {}
+    for rep in conjugacy_class_reps(k):
+        s = _tuple(rep)
+        braids = {}
+        for a in itertools.permutations(range(k)):
+            images = _hom_images(s, a, n, braids)
+            if images is not None and (include_cyclic
+                                       or not _all_equal(images)):
+                classes.setdefault(_conjugacy_key(images, k), images)
     found = []
-    for s in conjugacy_class_reps(k):
-        for a_imgs in itertools.permutations(range(1, k + 1)):
-            a = Perm(a_imgs)
-            h = hom_from_pair(s, a, n, k)
-            if h is None:
-                continue
-            props = hom_properties(h)
-            if not include_cyclic and props["cyclic_image"]:
-                continue
-            for other, _ in found:
-                if are_conjugate(h, other) is not None:
-                    break
-            else:
-                found.append((h, props))
+    for images in classes.values():
+        h = SymHom(n, k, tuple(map(_perm, images)))
+        found.append((h, hom_properties(h)))
 
     def sort_key(item):
         h, props = item

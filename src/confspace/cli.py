@@ -353,7 +353,7 @@ def run(argv):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, ratios.CapacityError, braid.CapacityError) as exc:
+    except (ValueError, ratios.CapacityError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
 

@@ -74,6 +74,8 @@ class QuadExt:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        if n < 0:
+            raise ValueError("negative exponent")
         out = QuadExt(Fraction(1), Fraction(0), self.d)
         for _ in range(n):
             out = out * self

@@ -55,7 +55,10 @@ class MultiPoly:
 
     @classmethod
     def const(cls, c):
-        return cls({(): int(c)})
+        value = int(c)
+        if value != c:
+            raise ValueError("constant %r is not an integer" % (c,))
+        return cls({(): value})
 
     @classmethod
     def zero(cls):
@@ -217,8 +220,12 @@ class MultiPoly:
         return self._terms == other._terms
 
     def __hash__(self):
+        # a constant hashes as its value, since it compares equal to it
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            if self.is_constant():
+                self._hash = hash(self.constant_value())
+            else:
+                self._hash = hash(frozenset(self._terms.items()))
         return self._hash
 
     def __bool__(self):
@@ -466,15 +473,6 @@ class BinaryForm:
                 out[i + j] = out[i + j] + a * b
         return BinaryForm(n + m, out)
 
-    def x_derivative(self):
-        # d/dx of sum c_i x^(n-i) y^i
-        n = self.degree
-        return [(n - i) * MultiPoly.one() * self.coeffs[i] for i in range(n)]
-
-    def dehomogenized(self):
-        """Coefficients of f(t, 1) from highest power of t down."""
-        return list(self.coeffs)
-
     def discriminant(self):
         return discriminant_of(self.coeffs)
 
@@ -634,15 +632,24 @@ def resultant_int(f, g):
             return 0  # positive-degree common factor
         a = b
         denom = gg * h ** delta
-        b = [c // denom for c in r]
+        b = [_exact_quotient(c, denom) for c in r]
         gg = a[0]
         if delta == 1:
             h = gg
         elif delta > 1:
-            h = gg ** delta // h ** (delta - 1)
+            h = _exact_quotient(gg ** delta, h ** (delta - 1))
         if len(b) == 1:
             da = len(a) - 1
-            return s * (b[0] ** da // h ** (da - 1))
+            return s * _exact_quotient(b[0] ** da, h ** (da - 1))
+
+
+def _exact_quotient(a, b):
+    """a / b for a division the subresultant theory says is exact."""
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError("inexact division %r / %r in the subresultant "
+                              "sequence" % (a, b))
+    return q
 
 
 def discriminant_int(coeffs):

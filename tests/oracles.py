@@ -2,11 +2,22 @@
 
 These deliberately avoid the code paths they validate: determinants by
 cofactor expansion, evaluation by direct term arithmetic, gcds by a
-remainder sequence, orbit representatives by exhaustive relabeling.
+remainder sequence, orbit representatives by exhaustive relabeling,
+homomorphism classes by Perm products, closures and pairwise conjugacy.
 """
 
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
+
+from confspace.braid import (
+    Perm,
+    SymHom,
+    alpha_word,
+    are_conjugate,
+    check_relations,
+    conjugacy_class_reps,
+)
 
 
 def cofactor_det(matrix):
@@ -93,3 +104,92 @@ def rank_mod_p(matrix, p):
                 rows[i] = [(a - f * b) % p for a, b in zip(rows[i], top)]
         rank += 1
     return rank
+
+
+def perm_closure(gens, k):
+    """Every element of the group the Perm values generate, by
+    breadth-first products."""
+    identity = Perm.identity(k)
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = p * g
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return seen
+
+
+def cyclic_by_closure(gens, k):
+    """Whether the generated group has an element of the group's order."""
+    elements = perm_closure(gens, k)
+    return any(e.order() == len(elements) for e in elements)
+
+
+def passing_homs(n, k):
+    """Every homomorphism the exhaustive scan meets, in scan order: all n - 1
+    images built as Perm conjugates of the first, every defining relation
+    checked, then the product of the images compared with the second image
+    of the pair."""
+    for s in conjugacy_class_reps(k):
+        for a_imgs in permutations(range(1, k + 1)):
+            a = Perm(a_imgs)
+            ainv = a.inverse()
+            images = [s]
+            for _ in range(n - 2):
+                images.append(a * images[-1] * ainv)
+            if check_relations(images, n, k) is not None:
+                continue
+            prod = images[0]
+            for im in images[1:]:
+                prod = prod * im
+            if prod == a:
+                yield SymHom(n, k, tuple(images))
+
+
+def _perm_transitive(gens, k):
+    reached = {1}
+    stack = [1]
+    while stack:
+        x = stack.pop()
+        for g in gens:
+            y = g(x)
+            if y not in reached:
+                reached.add(y)
+                stack.append(y)
+    return len(reached) == k
+
+
+def search_homs_pairwise(n, k, include_cyclic=True):
+    """The classes search_homs returns, by the original scan: a Perm closure
+    for every homomorphism that passes the relations, and a pairwise
+    are_conjugate scan against the classes found so far."""
+    found = []
+    for h in passing_homs(n, k):
+        elements = perm_closure(h.images, k)
+        order = len(elements)
+        cyclic = any(e.order() == order for e in elements)
+        if not include_cyclic and cyclic:
+            continue
+        if any(are_conjugate(h, other) is not None for other, _ in found):
+            continue
+        found.append((h, {
+            "cyclic": cyclic,
+            "transitive": _perm_transitive(h.images, k),
+            "surjective": order == factorial(k),
+            "image_order": order,
+        }))
+
+    def sort_key(item):
+        h = item[0]
+        return (
+            h.images[0].cycle_type(),
+            h.apply(alpha_word(n)).cycle_type(),
+            tuple(im.images for im in h.images),
+        )
+
+    return [{"hom": h, **props} for h, props in sorted(found, key=sort_key)]

@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from confspace.braid import (
     SPHERE,
@@ -12,6 +14,7 @@ from confspace.braid import (
     are_conjugate,
     canonical_form,
     check_relations,
+    conjugacy_class_reps,
     doubling_hom,
     exceptional_four,
     exceptional_six,
@@ -30,7 +33,10 @@ from confspace.braid import (
     verify_sym_hom,
     word,
     words_equal,
+    _conjugacy_key,
+    _tuple,
 )
+from oracles import cyclic_by_closure, passing_homs, search_homs_pairwise
 
 
 # -- permutations -----------------------------------------------------------
@@ -415,3 +421,76 @@ def test_noncyclic_images_surjective_or_alternating():
     for c in search_homs(4, 4):
         if not c["cyclic"] and c["transitive"]:
             assert c["surjective"] or c["image_order"] == 12
+
+
+# -- the tuple kernel against the Perm oracle --------------------------------
+
+
+@pytest.mark.parametrize("n,k", [(4, 4), (5, 4), (5, 5), (6, 6), (7, 6)])
+def test_search_matches_pairwise_oracle(n, k):
+    expected = search_homs_pairwise(n, k)
+    assert search_homs(n, k) == expected
+    # cyclicity is a class invariant, so filtering keeps the same
+    # representatives
+    assert search_homs(n, k, include_cyclic=False) == [
+        c for c in expected if not c["cyclic"]]
+
+
+@pytest.mark.parametrize("n,k", [(4, 4), (5, 5), (6, 6)])
+def test_all_images_equal_iff_closure_cyclic(n, k):
+    homs = list(passing_homs(n, k))
+    # the kernel, checking only relations of image 1, passes the same
+    # homomorphisms as the check of every relation
+    kernel = [hom_from_pair(s, Perm(a), n, k)
+              for s in conjugacy_class_reps(k)
+              for a in itertools.permutations(range(1, k + 1))]
+    assert [h for h in kernel if h is not None] == homs
+    assert any(not cyclic_by_closure(h.images, k) for h in homs)
+    for h in homs:
+        equal = all(im == h.images[0] for im in h.images)
+        assert equal == cyclic_by_closure(h.images, k)
+        assert hom_properties(h)["cyclic_image"] == equal
+
+
+def _relabel(h, t):
+    return SymHom(h.n, h.k, tuple(t.inverse() * im * t for im in h.images),
+                  h.presentation)
+
+
+_GALLERY = (
+    [standard_mu(n) for n in range(3, 8)]
+    + [exceptional_six()]
+    + [exceptional_four(i) for i in (1, 2, 3)]
+    + [doubling_hom(3, which) for which in (1, 2, 3)]
+    + [lattice_hom(3, 2, x, y) for x in (0, 1) for y in (0, 1)]
+)
+
+
+@st.composite
+def relabelled_pairs(draw):
+    """Two gallery homomorphisms of one (n, k), each randomly relabelled."""
+    h1 = draw(st.sampled_from(_GALLERY))
+    h2 = draw(st.sampled_from(
+        [h for h in _GALLERY if (h.n, h.k) == (h1.n, h1.k)]))
+    pair = []
+    for h in (h1, h2):
+        t = draw(st.permutations(range(1, h.k + 1)))
+        pair.append(_relabel(h, Perm(tuple(t))))
+    return tuple(pair)
+
+
+def _key(h):
+    return _conjugacy_key([_tuple(im) for im in h.images], h.k)
+
+
+@settings(deadline=None)
+@given(relabelled_pairs())
+@example((standard_mu(6), exceptional_six()))
+@example((doubling_hom(3, 1), doubling_hom(3, 3)))
+@example((lattice_hom(3, 2, 1, 0), lattice_hom(3, 2, 0, 1)))
+def test_conjugacy_key_iff_conjugator(pair):
+    h1, h2 = pair
+    w = are_conjugate(h1, h2)
+    assert (_key(h1) == _key(h2)) == (w is not None)
+    if w is not None:
+        assert _relabel(h1, w) == h2

@@ -95,6 +95,11 @@ def test_disc_capacity(capsys):
     assert status == 2
 
 
+def test_braid_search_capacity(capsys):
+    assert run(["braid-search", "--n", "4", "--k", "9"]) == 2
+    assert "k <= 8" in capsys.readouterr().err
+
+
 def test_abc_command(capsys):
     status, out = capture(capsys, ["abc", "--n", "3", "--bound", "1"])
     assert status == 0

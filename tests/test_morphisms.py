@@ -61,6 +61,13 @@ def test_quad_ext_arithmetic():
     assert (2 - s * s) == QuadExt.of(-1)
 
 
+def test_quad_ext_negative_power_refused():
+    s = QuadExt.sqrt(2)
+    assert s ** 0 == 1 and s ** 2 == 2
+    with pytest.raises(ValueError):
+        s ** -1
+
+
 def test_discriminant_value_matches_symbolic():
     rng = random.Random(3)
     for n in (2, 3, 4, 5):

@@ -82,6 +82,21 @@ def test_canonical_form():
         assert p.sorted_terms() == q.sorted_terms()
 
 
+def test_const_refuses_non_integer():
+    for bad in (Fraction(7, 2), 2.5, Fraction(-1, 3)):
+        with pytest.raises(ValueError):
+            MultiPoly.const(bad)
+    assert MultiPoly.const(Fraction(6, 3)) == 2
+
+
+def test_constant_hashes_as_its_value():
+    for c in (0, 1, -3, 2 ** 70):
+        p = MultiPoly.const(c)
+        assert p == c and hash(p) == hash(c)
+    assert {MultiPoly.const(5): "five"}[5] == "five"
+    assert hash(X - X) == hash(0)
+
+
 def test_identity_determinant():
     mat = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
     assert bareiss_det(mat) == 1
@@ -203,6 +218,13 @@ def test_resultant_int_matches_sylvester():
         if g[0] == 0:
             g[0] = 1
         assert resultant_int(f, g) == bareiss_det(sylvester_matrix(f, g))
+
+
+def test_resultant_int_checks_its_divisions():
+    # over the rationals a floor division truncates; resultant of t + 1/2
+    # and t^2 + 1 is 5/4, which used to come back as 1
+    with pytest.raises(ArithmeticError):
+        resultant_int([1, Fraction(1, 2)], [1, 0, 1])
 
 
 def test_discriminant_int_matches_symbolic():
