@@ -19,28 +19,96 @@ from .ratios import CapacityError
 
 
 # ---------------------------------------------------------------------------
-# permutations (1-based externally, tuples of images internally)
+# permutations
 # ---------------------------------------------------------------------------
+#
+# The kernel works on 0-based image tuples: p[i] is the image of point i.
+# Perm is the 1-based view of such a tuple at the public API; constructing
+# one from images or cycles validates, arithmetic wraps kernel results
+# without re-validating.
 
 
-@dataclass(frozen=True)
+def _pmul(p, q):
+    return tuple(map(q.__getitem__, p))
+
+
+def _pinv(p):
+    inv = [0] * len(p)
+    for i, v in enumerate(p):
+        inv[v] = i
+    return tuple(inv)
+
+
+def _pid(n):
+    return tuple(range(n))
+
+
+def _pdelta(n):
+    return tuple(range(n - 1, -1, -1))
+
+
+def _ptransp(n, i):
+    p = list(range(n))
+    p[i], p[i + 1] = p[i + 1], p[i]
+    return tuple(p)
+
+
+def _cycles(p):
+    """The cycles of an image tuple, each from its smallest point, in order
+    of smallest point; fixed points are cycles of length one."""
+    seen = [False] * len(p)
+    out = []
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        cyc = [start]
+        seen[start] = True
+        x = p[start]
+        while x != start:
+            cyc.append(x)
+            seen[x] = True
+            x = p[x]
+        out.append(cyc)
+    return out
+
+
+def _cycle_type(p):
+    return tuple(sorted(map(len, _cycles(p)), reverse=True))
+
+
+def _word_image(gens, letters, k):
+    """The image tuple of a word: letter g maps to gens[|g| - 1], inverted
+    when g < 0."""
+    p = _pid(k)
+    for g in letters:
+        img = gens[abs(g) - 1]
+        p = _pmul(p, img if g > 0 else _pinv(img))
+    return p
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class Perm:
-    """A permutation of 1..k in one-line image notation."""
+    """A permutation of 1..k in one-line image notation (``images``)."""
 
-    images: tuple
+    _t: tuple  # the 0-based image tuple of the kernel
 
-    def __post_init__(self):
-        k = len(self.images)
-        if sorted(self.images) != list(range(1, k + 1)):
+    def __init__(self, images):
+        k = len(images)
+        if sorted(images) != list(range(1, k + 1)):
             raise ValueError("not a bijection of 1..%d" % k)
+        object.__setattr__(self, "_t", tuple(v - 1 for v in images))
+
+    @property
+    def images(self):
+        return tuple(v + 1 for v in self._t)
 
     @property
     def degree(self):
-        return len(self.images)
+        return len(self._t)
 
     @classmethod
     def identity(cls, k):
-        return cls(tuple(range(1, k + 1)))
+        return _perm(_pid(k))
 
     @classmethod
     def from_cycles(cls, k, *cycles):
@@ -52,57 +120,50 @@ class Perm:
 
     @classmethod
     def transposition(cls, k, i):
-        imgs = list(range(1, k + 1))
-        imgs[i - 1], imgs[i] = imgs[i], imgs[i - 1]
-        return cls(tuple(imgs))
+        return _perm(_ptransp(k, i - 1))
 
     def __call__(self, x):
-        return self.images[x - 1]
+        return self._t[x - 1] + 1
 
     def __mul__(self, other):
         # apply self first, then other
-        return Perm(tuple(other.images[i - 1] for i in self.images))
+        return _perm(_pmul(self._t, other._t))
 
     def inverse(self):
-        inv = [0] * len(self.images)
-        for i, v in enumerate(self.images):
-            inv[v - 1] = i + 1
-        return Perm(tuple(inv))
+        return _perm(_pinv(self._t))
 
     def cycles(self):
-        seen = set()
-        out = []
-        for start in range(1, self.degree + 1):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            nxt = self(start)
-            while nxt != start:
-                cyc.append(nxt)
-                seen.add(nxt)
-                nxt = self(nxt)
-            out.append(tuple(cyc))
-        return out
+        return [tuple(x + 1 for x in c) for c in _cycles(self._t)]
 
     def cycle_type(self):
-        return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
+        return _cycle_type(self._t)
 
     def order(self):
-        return lcm(*(len(c) for c in self.cycles()))
+        return lcm(*map(len, _cycles(self._t)))
 
     def is_identity(self):
-        return all(self.images[i] == i + 1 for i in range(self.degree))
+        return self._t == _pid(len(self._t))
 
     def __repr__(self):
         return "Perm(%s)" % (" ".join(map(str, self.images)))
+
+
+def _tuple(p):
+    """The 0-based image tuple of a Perm."""
+    return p._t
+
+
+def _perm(t):
+    """A Perm over a 0-based image tuple the kernel produced, unchecked."""
+    p = object.__new__(Perm)
+    object.__setattr__(p, "_t", t)
+    return p
 
 
 def conjugacy_class_reps(k):
     """One permutation per cycle type of degree k, deterministic."""
     reps = []
     for part in _partitions(k):
-        imgs = []
         start = 1
         cycles = []
         for size in part:
@@ -178,10 +239,8 @@ def full_twist_word(n):
 
 def mu_image(w):
     """Image under the standard projection sending generator i to (i, i+1)."""
-    p = Perm.identity(w.n)
-    for g in w.letters:
-        p = p * Perm.transposition(w.n, abs(g))
-    return p
+    gens = [_ptransp(w.n, i) for i in range(w.n - 1)]
+    return _perm(_word_image(gens, w.letters, w.n))
 
 
 def exponent_sum(w):
@@ -193,33 +252,8 @@ def exponent_sum(w):
 # left-greedy canonical form
 # ---------------------------------------------------------------------------
 #
-# A permutation factor is encoded as a 0-based image tuple p with p[i] the
-# final position of the strand starting at i.  Products read left to right.
-
-
-def _pmul(p, q):
-    return tuple(map(q.__getitem__, p))
-
-
-def _pinv(p):
-    inv = [0] * len(p)
-    for i, v in enumerate(p):
-        inv[v] = i
-    return tuple(inv)
-
-
-def _pid(n):
-    return tuple(range(n))
-
-
-def _pdelta(n):
-    return tuple(range(n - 1, -1, -1))
-
-
-def _ptransp(n, i):
-    p = list(range(n))
-    p[i], p[i + 1] = p[i + 1], p[i]
-    return tuple(p)
+# A permutation factor is an image tuple p with p[i] the final position of
+# the strand starting at i.  Products read left to right.
 
 
 def _starting_set(p):
@@ -368,11 +402,9 @@ class SymHom:
     def apply(self, w):
         if w.n != self.n:
             raise ValueError("mismatched strand counts")
-        p = Perm.identity(self.k)
-        for g in w.letters:
-            img = self.images[abs(g) - 1]
-            p = p * (img if g > 0 else img.inverse())
-        return p
+        gens = [_tuple(im) for im in self.images]
+        return _perm(_word_image(gens, w.letters, self.k))
+
 
 def check_relations(images, n, k, presentation=ARTIN):
     """First violated defining relation, or None if all hold."""
@@ -381,19 +413,19 @@ def check_relations(images, n, k, presentation=ARTIN):
     for im in images:
         if im.degree != k:
             raise ValueError("images must have degree %d" % k)
+    gens = [_tuple(im) for im in images]
     for i in range(n - 2):
-        a, b = images[i], images[i + 1]
-        if a * b * a != b * a * b:
+        a, b = gens[i], gens[i + 1]
+        if _pmul(_pmul(a, b), a) != _pmul(_pmul(b, a), b):
             return ("braid", i + 1, i + 2)
     for i in range(n - 1):
         for j in range(i + 2, n - 1):
-            if images[i] * images[j] != images[j] * images[i]:
+            if _pmul(gens[i], gens[j]) != _pmul(gens[j], gens[i]):
                 return ("commute", i + 1, j + 1)
     if presentation == SPHERE:
-        p = Perm.identity(k)
-        for i in list(range(n - 1)) + list(range(n - 2, -1, -1)):
-            p = p * images[i]
-        if not p.is_identity():
+        # the letters of sphere_kernel_word(n)
+        letters = [*range(1, n), *range(n - 1, 0, -1)]
+        if _word_image(gens, letters, k) != _pid(k):
             return ("sphere",)
     return None
 
@@ -425,7 +457,8 @@ def hom_properties(h):
     """Transitivity, image order, cyclicity and a block system if any.
 
     Cyclicity needs no closure (see _all_equal).  The image order does:
-    the closure lists the whole image, so this is for small degrees; use
+    the closure lists the whole image, so this is for small degrees (an
+    image past _CLOSURE_LIMIT elements raises CapacityError); use
     is_transitive for bulk transitivity scans.
     """
     gens = [_tuple(im) for im in h.images]
@@ -438,19 +471,6 @@ def hom_properties(h):
         "surjective": order == factorial(h.k),
         "blocks": _nontrivial_blocks(gens, h.k) if transitive else None,
     }
-
-
-# The helpers below work on 0-based image tuples (see _pmul); the public
-# functions take and return Perm values and convert at their boundary.
-
-
-def _tuple(p):
-    """The 0-based image tuple of a Perm."""
-    return tuple(v - 1 for v in p.images)
-
-
-def _perm(t):
-    return Perm(tuple(v + 1 for v in t))
 
 
 def _hom_images(s, a, n, braids):
@@ -511,20 +531,26 @@ def _bfs_code(images, start):
     return tuple(code), order
 
 
-def _conjugacy_key(images, k):
-    """Complete invariant of a sequence of permutations of range(k) under
-    simultaneous conjugation: the smallest breadth-first code of each orbit
-    over all its start points, the orbit codes sorted."""
+def _orbit_codes(images, k):
+    """For each orbit of a sequence of permutations of range(k): its
+    smallest breadth-first code over all start points, and a start point
+    that gives it."""
     seen = set()
-    codes = []
+    out = []
     for x in range(k):
         if x in seen:
             continue
         code, orbit = _bfs_code(images, x)
         seen.update(orbit)
-        codes.append(min([code] + [_bfs_code(images, y)[0]
-                                   for y in orbit[1:]]))
-    return tuple(sorted(codes))
+        out.append(min([(code, x)] + [(_bfs_code(images, y)[0], y)
+                                      for y in orbit[1:]]))
+    return out
+
+
+def _conjugacy_key(images, k):
+    """Complete invariant of a sequence of permutations of range(k) under
+    simultaneous conjugation: the orbit codes, sorted."""
+    return tuple(sorted(code for code, _ in _orbit_codes(images, k)))
 
 
 def _find(parent, x):
@@ -553,6 +579,11 @@ def _orbits(gens, k):
     return _classes(parent)
 
 
+# The closure lists the whole image.  9! elements (braid-gallery --name mu
+# --n 9) take about 5 s and 80 MiB, and each further degree multiplies both.
+_CLOSURE_LIMIT = factorial(9)
+
+
 def _closure(gens, k):
     """Every element of the group the image tuples generate."""
     gens = set(gens)
@@ -567,6 +598,12 @@ def _closure(gens, k):
                 if q not in seen:
                     seen.add(q)
                     nxt.append(q)
+                    if len(seen) > _CLOSURE_LIMIT:
+                        raise CapacityError(
+                            "image closure capped at %d elements, the "
+                            "measured budget (braid-gallery --name mu --n 9 "
+                            "lists 9! = 362880 in about 5 s and 80 MiB)"
+                            % _CLOSURE_LIMIT)
         frontier = nxt
     return seen
 
@@ -598,66 +635,27 @@ def _nontrivial_blocks(gens, k):
 
 
 def are_conjugate(h1, h2):
-    """A conjugating permutation between two homomorphisms, or None."""
+    """A conjugating permutation between two homomorphisms, or None.
+
+    The orbit codes of _orbit_codes agree exactly when the homomorphisms
+    are conjugate; the conjugator then maps the breadth-first order of each
+    orbit of h1, from the start point giving its code, onto that of an
+    orbit of h2 with the same code, point by point.
+    """
     if (h1.n, h1.k) != (h2.n, h2.k):
         raise ValueError("homomorphisms must share (n, k)")
-    gens1 = h1.images
-    gens2 = h2.images
-    for a, b in zip(gens1, gens2):
-        if a.cycle_type() != b.cycle_type():
-            return None
     k = h1.k
-
-    # depth-first search for t with t^-1 * g1 * t == g2 for all generators,
-    # propagating t(g1(x)) = g2(t(x)) from each assignment
-    assign = {}
-    used = set()
-
-    def propagate(pairs):
-        added = []
-        stack = list(pairs)
-        while stack:
-            x, y = stack.pop()
-            if x in assign:
-                if assign[x] != y:
-                    for a in added:
-                        used.discard(assign[a])
-                        del assign[a]
-                    return None
-                continue
-            if y in used:
-                for a in added:
-                    used.discard(assign[a])
-                    del assign[a]
-                return None
-            assign[x] = y
-            used.add(y)
-            added.append(x)
-            for g1, g2 in zip(gens1, gens2):
-                stack.append((g1(x), g2(y)))
-        return added
-
-    def search():
-        free = [x for x in range(1, k + 1) if x not in assign]
-        if not free:
-            return True
-        x = free[0]
-        for y in range(1, k + 1):
-            if y in used:
-                continue
-            added = propagate([(x, y)])
-            if added is None:
-                continue
-            if search():
-                return True
-            for a in added:
-                used.discard(assign[a])
-                del assign[a]
-        return False
-
-    if search():
-        return Perm(tuple(assign[x] for x in range(1, k + 1)))
-    return None
+    gens1 = [_tuple(im) for im in h1.images]
+    gens2 = [_tuple(im) for im in h2.images]
+    orbits1 = sorted(_orbit_codes(gens1, k))
+    orbits2 = sorted(_orbit_codes(gens2, k))
+    if [c for c, _ in orbits1] != [c for c, _ in orbits2]:
+        return None
+    t = [0] * k
+    for (_, x), (_, y) in zip(orbits1, orbits2):
+        for a, b in zip(_bfs_code(gens1, x)[1], _bfs_code(gens2, y)[1]):
+            t[a] = b
+    return _perm(tuple(t))
 
 
 def search_homs(n, k, include_cyclic=True):
@@ -686,22 +684,19 @@ def search_homs(n, k, include_cyclic=True):
             if images is not None and (include_cyclic
                                        or not _all_equal(images)):
                 classes.setdefault(_conjugacy_key(images, k), images)
-    found = []
-    for images in classes.values():
-        h = SymHom(n, k, tuple(map(_perm, images)))
-        found.append((h, hom_properties(h)))
+    alpha = alpha_word(n).letters
 
-    def sort_key(item):
-        h, props = item
-        alpha = h.apply(alpha_word(n))
+    def sort_key(images):
         return (
-            h.images[0].cycle_type(),
-            alpha.cycle_type(),
-            tuple(im.images for im in h.images),
+            _cycle_type(images[0]),
+            _cycle_type(_word_image(images, alpha, k)),
+            tuple(images),
         )
 
     out = []
-    for h, props in sorted(found, key=sort_key):
+    for images in sorted(classes.values(), key=sort_key):
+        h = SymHom(n, k, tuple(map(_perm, images)))
+        props = hom_properties(h)
         out.append({
             "hom": h,
             "cyclic": props["cyclic_image"],

@@ -7,14 +7,13 @@ failure (the JSON carries a witness), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import random
 import sys
 from fractions import Fraction
 
 from . import braid, morphisms, ratios
-from .polyring import MultiPoly, discriminant_monic, discriminant_projective
+from .polyring import discriminant_monic, discriminant_projective
 
 _SAFE = 1 << 53
 
@@ -115,159 +114,11 @@ def _cmd_braid_gallery(args):
     return _emit({"name": args.name, **_hom_payload(h)})
 
 
-def _verify_eisenstein():
-    e = tuple(MultiPoly.var("z%d" % i) for i in range(4))
-    w = morphisms.eisenstein(e)
-    ww = morphisms.eisenstein(w)
-    disc = morphisms.hesse_cubic_discriminant(e)
-    invol = all(ww[i] == disc ** 2 * e[i] for i in range(4))
-    disc_cubed = morphisms.hesse_cubic_discriminant(w) == disc ** 3
-    return {"pass": invol and disc_cubed, "mode": "symbolic", "trials": 0,
-            "witness": None}
-
-
-def _verify_cayley():
-    rel = morphisms.cayley_comparison()
-    return {
-        "pass": True,
-        "mode": "symbolic",
-        "trials": 0,
-        "witness": None,
-        "transform": rel["transform"],
-        "scalar": "%d/%d" % (rel["numerator"], rel["denominator"]),
-    }
-
-
-def _verify_tame(trials, rng):
-    u, v, den2 = morphisms.tame_determinant_identity()
-    det_ok = v.is_zero() and u == den2
-    action = morphisms.tame_action_check(trials=trials, rng=rng)
-    return {
-        "pass": det_ok and action["pass"],
-        "mode": "symbolic+numeric",
-        "trials": trials,
-        "witness": action["witness"],
-    }
-
-
-def _verify_ferrari(trials, rng):
-    f1, f2, f3 = morphisms.ferrari_symbolic()
-    q = [MultiPoly.var("q%d" % i) for i in range(1, 5)]
-    factors_ok = (
-        f1 - f2 == 4 * (q[0] - q[1]) * (q[3] - q[2])
-        and f1 - f3 == 4 * (q[0] - q[2]) * (q[3] - q[1])
-        and f2 - f3 == 4 * (q[1] - q[2]) * (q[3] - q[0])
-    )
-    for _ in range(trials):
-        pts = []
-        while len(set(pts)) != 4:
-            pts = [Fraction(rng.randint(-50, 50), rng.randint(1, 9))
-                   for _ in range(4)]
-        cfg = morphisms.Config(tuple(pts))
-        base = set(morphisms.ferrari(cfg).points)
-        for sigma in itertools.permutations((1, 2, 3, 4)):
-            moved = morphisms.ferrari(morphisms.Config(
-                tuple(pts[sigma[i] - 1] for i in range(4))))
-            if set(moved.points) != base:
-                return {"pass": False, "mode": "symbolic+sampled",
-                        "trials": trials, "witness": [str(p) for p in pts]}
-    return {"pass": factors_ok, "mode": "symbolic+sampled",
-            "trials": trials, "witness": None}
-
-
-def _verify_feler6():
-    lhs, rhs = morphisms.feler_sextic_identity()
-    res, rem, power = morphisms.feler_sextic_resultant()
-    res_ok = rem.is_constant() and rem.constant_value() != 0 and power > 0
-    return {"pass": lhs == rhs and res_ok, "mode": "symbolic", "trials": 0,
-            "witness": None, "resultant_power": power}
-
-
-def _verify_feler9(trials, rng, symbolic):
-    if symbolic:
-        rep = morphisms.feler_nine_symbolic()
-        return {"pass": rep["pass"], "mode": "symbolic",
-                "trials": rep.get("points", 0), "witness": rep["witness"]
-                if not rep["pass"] else None}
-    rep = morphisms.feler_nine_sampled(trials=trials, rng=rng)
-    return {"pass": rep["pass"], "mode": "sampled", "trials": rep["trials"],
-            "witness": rep["witness"]}
-
-
-def _verify_covering(trials, rng):
-    for n in (3, 4):
-        d = discriminant_monic(n)
-        zeta = MultiPoly.var("t")
-        scaled = d.substitute({
-            "w%d" % i: MultiPoly.var("w%d" % i) * zeta ** i
-            for i in range(1, n + 1)})
-        if scaled != zeta ** (n * (n - 1)) * d:
-            return {"pass": False, "mode": "symbolic+sampled",
-                    "trials": trials, "witness": {"n": n}}
-    for _ in range(trials):
-        n = rng.choice((2, 3, 4, 5))
-        m = rng.randint(0, 2)
-        pts = []
-        while len(set(pts)) != n:
-            pts = [Fraction(rng.randint(-20, 20), rng.randint(1, 7))
-                   for _ in range(n)]
-        cfg = morphisms.Config(tuple(pts))
-        out = morphisms.covering_point(cfg, m)
-        d_in = morphisms.discriminant_value(cfg.points)
-        d_out = morphisms.discriminant_value(out.points)
-        if d_out != d_in ** (m * n * (n - 1) + 1):
-            return {"pass": False, "mode": "symbolic+sampled",
-                    "trials": trials, "witness": [str(p) for p in pts]}
-    return {"pass": True, "mode": "symbolic+sampled", "trials": trials,
-            "witness": None}
-
-
-def _verify_model():
-    from .polyring import discriminant_of
-
-    zeta = MultiPoly.var("c")
-    for m in (3, 4):
-        for r in (1, 2):
-            coeffs = morphisms.model_map("A", m, r, zeta)
-            d = discriminant_of(coeffs)
-            expected_exp = r * (m - 1)
-            terms = d.sorted_terms()
-            if len(terms) != 1:
-                return {"pass": False, "mode": "symbolic", "trials": 0,
-                        "witness": {"m": m, "r": r}}
-            mono, coeff = terms[0]
-            if dict(mono).get("c", 0) != expected_exp or coeff == 0:
-                return {"pass": False, "mode": "symbolic", "trials": 0,
-                        "witness": {"m": m, "r": r}}
-    b0 = morphisms.model_map("B", 4, 0, zeta)
-    ok = b0 == [MultiPoly.one(), MultiPoly.zero(), MultiPoly.zero(),
-                -MultiPoly.one(), MultiPoly.zero()]
-    return {"pass": ok, "mode": "symbolic", "trials": 0, "witness": None}
-
-
-_GALLERY = {
-    "eisenstein": lambda trials, rng, symbolic: _verify_eisenstein(),
-    "cayley": lambda trials, rng, symbolic: _verify_cayley(),
-    "tame-eisenstein": lambda trials, rng, symbolic: _verify_tame(trials, rng),
-    "ferrari": lambda trials, rng, symbolic: _verify_ferrari(trials, rng),
-    "feler6": lambda trials, rng, symbolic: _verify_feler6(),
-    "feler9": _verify_feler9,
-    "covering": lambda trials, rng, symbolic: _verify_covering(trials, rng),
-    "model": lambda trials, rng, symbolic: _verify_model(),
-}
-
-
 def _cmd_gallery_verify(args):
     rng = random.Random(args.seed)
-    report = _GALLERY[args.name](args.trials, rng, args.symbolic)
-    payload = {"name": args.name, "mode": report["mode"],
-               "trials": report["trials"], "pass": report["pass"]}
-    if report.get("witness") is not None:
-        payload["witness"] = report["witness"]
-    for key in ("transform", "scalar", "resultant_power"):
-        if key in report:
-            payload[key] = report[key]
-    return _emit(payload, 0 if report["pass"] else 1)
+    check = morphisms.GALLERY_CHECKS[args.name]
+    report = check(args.trials, rng, args.symbolic)
+    return _emit({"name": args.name, **report}, 0 if report["pass"] else 1)
 
 
 def _cmd_disc(args):
@@ -326,7 +177,8 @@ def build_parser():
     p.set_defaults(func=_cmd_braid_gallery)
 
     p = sub.add_parser("gallery-verify", help="verify a gallery identity")
-    p.add_argument("--name", required=True, choices=sorted(_GALLERY))
+    p.add_argument("--name", required=True,
+                   choices=sorted(morphisms.GALLERY_CHECKS))
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--symbolic", action="store_true")

@@ -9,6 +9,7 @@ sampled mode and an exact lattice-evaluation mode that together certify it.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,6 +18,7 @@ from .polyring import (
     BinaryForm,
     MultiPoly,
     discriminant_int,
+    discriminant_monic,
     discriminant_of,
     resultant,
 )
@@ -744,3 +746,138 @@ def tame_action_check(trials=20, rng=None, tol=1e-9):
             return {"pass": False, "trials": done + 1, "witness": list(z)}
         done += 1
     return {"pass": True, "trials": trials, "witness": None}
+
+
+# ---------------------------------------------------------------------------
+# gallery checks
+# ---------------------------------------------------------------------------
+#
+# Each check takes (trials, rng, symbolic) and returns its report in the
+# order the CLI emits it: mode, trials, pass, the witness if there is one,
+# then any extra fields.
+
+
+def _report(ok, mode, trials, witness=None, **extra):
+    out = {"mode": mode, "trials": trials, "pass": ok}
+    if witness is not None:
+        out["witness"] = witness
+    out.update(extra)
+    return out
+
+
+def _verify_eisenstein(trials, rng, symbolic):
+    e = tuple(MultiPoly.var("z%d" % i) for i in range(4))
+    w = eisenstein(e)
+    ww = eisenstein(w)
+    disc = hesse_cubic_discriminant(e)
+    invol = all(ww[i] == disc ** 2 * e[i] for i in range(4))
+    disc_cubed = hesse_cubic_discriminant(w) == disc ** 3
+    return _report(invol and disc_cubed, "symbolic", 0)
+
+
+def _verify_cayley(trials, rng, symbolic):
+    rel = cayley_comparison()
+    return _report(True, "symbolic", 0, transform=rel["transform"],
+                   scalar="%d/%d" % (rel["numerator"], rel["denominator"]))
+
+
+def _verify_tame(trials, rng, symbolic):
+    u, v, den2 = tame_determinant_identity()
+    det_ok = v.is_zero() and u == den2
+    action = tame_action_check(trials=trials, rng=rng)
+    return _report(det_ok and action["pass"], "symbolic+numeric", trials,
+                   action["witness"])
+
+
+def _verify_ferrari(trials, rng, symbolic):
+    f1, f2, f3 = ferrari_symbolic()
+    q = [MultiPoly.var("q%d" % i) for i in range(1, 5)]
+    factors_ok = (
+        f1 - f2 == 4 * (q[0] - q[1]) * (q[3] - q[2])
+        and f1 - f3 == 4 * (q[0] - q[2]) * (q[3] - q[1])
+        and f2 - f3 == 4 * (q[1] - q[2]) * (q[3] - q[0])
+    )
+    for _ in range(trials):
+        pts = []
+        while len(set(pts)) != 4:
+            pts = [Fraction(rng.randint(-50, 50), rng.randint(1, 9))
+                   for _ in range(4)]
+        base = set(ferrari(Config(tuple(pts))).points)
+        for sigma in itertools.permutations((1, 2, 3, 4)):
+            moved = ferrari(Config(tuple(pts[sigma[i] - 1]
+                                         for i in range(4))))
+            if set(moved.points) != base:
+                return _report(False, "symbolic+sampled", trials,
+                               [str(p) for p in pts])
+    return _report(factors_ok, "symbolic+sampled", trials)
+
+
+def _verify_feler6(trials, rng, symbolic):
+    lhs, rhs = feler_sextic_identity()
+    res, rem, power = feler_sextic_resultant()
+    res_ok = rem.is_constant() and rem.constant_value() != 0 and power > 0
+    return _report(lhs == rhs and res_ok, "symbolic", 0,
+                   resultant_power=power)
+
+
+def _verify_feler9(trials, rng, symbolic):
+    if symbolic:
+        rep = feler_nine_symbolic()
+        return _report(rep["pass"], "symbolic", rep.get("points", 0),
+                       None if rep["pass"] else rep["witness"])
+    rep = feler_nine_sampled(trials=trials, rng=rng)
+    return _report(rep["pass"], "sampled", rep["trials"], rep["witness"])
+
+
+def _verify_covering(trials, rng, symbolic):
+    for n in (3, 4):
+        d = discriminant_monic(n)
+        zeta = MultiPoly.var("t")
+        scaled = d.substitute({
+            "w%d" % i: MultiPoly.var("w%d" % i) * zeta ** i
+            for i in range(1, n + 1)})
+        if scaled != zeta ** (n * (n - 1)) * d:
+            return _report(False, "symbolic+sampled", trials, {"n": n})
+    for _ in range(trials):
+        n = rng.choice((2, 3, 4, 5))
+        m = rng.randint(0, 2)
+        pts = []
+        while len(set(pts)) != n:
+            pts = [Fraction(rng.randint(-20, 20), rng.randint(1, 7))
+                   for _ in range(n)]
+        cfg = Config(tuple(pts))
+        out = covering_point(cfg, m)
+        d_in = discriminant_value(cfg.points)
+        d_out = discriminant_value(out.points)
+        if d_out != d_in ** (m * n * (n - 1) + 1):
+            return _report(False, "symbolic+sampled", trials,
+                           [str(p) for p in pts])
+    return _report(True, "symbolic+sampled", trials)
+
+
+def _verify_model(trials, rng, symbolic):
+    zeta = MultiPoly.var("c")
+    for m in (3, 4):
+        for r in (1, 2):
+            terms = discriminant_of(model_map("A", m, r, zeta)).sorted_terms()
+            if len(terms) != 1:
+                return _report(False, "symbolic", 0, {"m": m, "r": r})
+            mono, coeff = terms[0]
+            if dict(mono).get("c", 0) != r * (m - 1) or coeff == 0:
+                return _report(False, "symbolic", 0, {"m": m, "r": r})
+    b0 = model_map("B", 4, 0, zeta)
+    ok = b0 == [MultiPoly.one(), MultiPoly.zero(), MultiPoly.zero(),
+                -MultiPoly.one(), MultiPoly.zero()]
+    return _report(ok, "symbolic", 0)
+
+
+GALLERY_CHECKS = {
+    "eisenstein": _verify_eisenstein,
+    "cayley": _verify_cayley,
+    "tame-eisenstein": _verify_tame,
+    "ferrari": _verify_ferrari,
+    "feler6": _verify_feler6,
+    "feler9": _verify_feler9,
+    "covering": _verify_covering,
+    "model": _verify_model,
+}

@@ -100,19 +100,6 @@ class MultiPoly:
                 vs.add(v)
         return sorted(vs)
 
-    def total_degree(self):
-        if not self._terms:
-            return -1
-        return max(_mono_degree(m) for m in self._terms)
-
-    def degree_in(self, var):
-        d = 0
-        for mono in self._terms:
-            for v, e in mono:
-                if v == var:
-                    d = max(d, e)
-        return d
-
     def is_homogeneous(self, degree=None):
         if not self._terms:
             return True

@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they validate: determinants by
 cofactor expansion, evaluation by direct term arithmetic, gcds by a
 remainder sequence, orbit representatives by exhaustive relabeling,
-homomorphism classes by Perm products, closures and pairwise conjugacy.
+homomorphism classes by Perm products, closures and pairwise conjugacy,
+conjugators by depth-first search.
 """
 
 from fractions import Fraction
@@ -14,7 +15,6 @@ from confspace.braid import (
     Perm,
     SymHom,
     alpha_word,
-    are_conjugate,
     check_relations,
     conjugacy_class_reps,
 )
@@ -164,10 +164,69 @@ def _perm_transitive(gens, k):
     return len(reached) == k
 
 
+def are_conjugate_dfs(h1, h2):
+    """A permutation t with t^-1 * g1 * t == g2 for every pair of generator
+    images, or None: depth-first search over assignments, propagating
+    t(g1(x)) = g2(t(x)) from each one."""
+    gens1 = h1.images
+    gens2 = h2.images
+    for a, b in zip(gens1, gens2):
+        if a.cycle_type() != b.cycle_type():
+            return None
+    k = h1.k
+    assign = {}
+    used = set()
+
+    def undo(added):
+        for a in added:
+            used.discard(assign[a])
+            del assign[a]
+
+    def propagate(pairs):
+        added = []
+        stack = list(pairs)
+        while stack:
+            x, y = stack.pop()
+            if x in assign:
+                if assign[x] != y:
+                    undo(added)
+                    return None
+                continue
+            if y in used:
+                undo(added)
+                return None
+            assign[x] = y
+            used.add(y)
+            added.append(x)
+            for g1, g2 in zip(gens1, gens2):
+                stack.append((g1(x), g2(y)))
+        return added
+
+    def search():
+        free = [x for x in range(1, k + 1) if x not in assign]
+        if not free:
+            return True
+        x = free[0]
+        for y in range(1, k + 1):
+            if y in used:
+                continue
+            added = propagate([(x, y)])
+            if added is None:
+                continue
+            if search():
+                return True
+            undo(added)
+        return False
+
+    if search():
+        return Perm(tuple(assign[x] for x in range(1, k + 1)))
+    return None
+
+
 def search_homs_pairwise(n, k, include_cyclic=True):
     """The classes search_homs returns, by the original scan: a Perm closure
     for every homomorphism that passes the relations, and a pairwise
-    are_conjugate scan against the classes found so far."""
+    depth-first conjugacy scan against the classes found so far."""
     found = []
     for h in passing_homs(n, k):
         elements = perm_closure(h.images, k)
@@ -175,7 +234,8 @@ def search_homs_pairwise(n, k, include_cyclic=True):
         cyclic = any(e.order() == order for e in elements)
         if not include_cyclic and cyclic:
             continue
-        if any(are_conjugate(h, other) is not None for other, _ in found):
+        if any(are_conjugate_dfs(h, other) is not None
+               for other, _ in found):
             continue
         found.append((h, {
             "cyclic": cyclic,

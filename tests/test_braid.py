@@ -36,7 +36,12 @@ from confspace.braid import (
     _conjugacy_key,
     _tuple,
 )
-from oracles import cyclic_by_closure, passing_homs, search_homs_pairwise
+from oracles import (
+    are_conjugate_dfs,
+    cyclic_by_closure,
+    passing_homs,
+    search_homs_pairwise,
+)
 
 
 # -- permutations -----------------------------------------------------------
@@ -61,6 +66,36 @@ def test_perm_inverse_and_cycles():
         p = Perm(tuple(rng.sample(range(1, 8), 7)))
         assert (p * p.inverse()).is_identity()
         assert sum(len(c) for c in p.cycles()) == 7
+
+
+def _perms(k):
+    return st.permutations(range(1, k + 1)).map(lambda t: Perm(tuple(t)))
+
+
+@given(st.integers(1, 9).flatmap(lambda k: st.tuples(_perms(k), _perms(k))))
+def test_perm_arithmetic_matches_one_based_formulas(pair):
+    p, q = pair
+    k = p.degree
+    assert (p * q).images == tuple(q.images[i - 1] for i in p.images)
+    inv = p.inverse().images
+    assert all(inv[p.images[x - 1] - 1] == x for x in range(1, k + 1))
+    cycles = p.cycles()
+    assert sorted(x for c in cycles for x in c) == list(range(1, k + 1))
+    for c in cycles:
+        assert all(p(a) == b for a, b in zip(c, c[1:] + c[:1]))
+    assert p.cycle_type() == tuple(sorted(map(len, cycles), reverse=True))
+    assert p.is_identity() == (p == Perm.identity(k))
+
+
+def test_perm_is_hashable_and_immutable():
+    p = Perm((2, 3, 1))
+    assert hash(p) == hash(Perm((2, 3, 1)))
+    assert len({p, Perm((2, 3, 1)), Perm((1, 2, 3))}) == 2
+    with pytest.raises(AttributeError):
+        p.images = (1, 2, 3)
+    with pytest.raises(AttributeError):
+        p._t = (0, 1, 2)
+    assert p.images == (2, 3, 1)
 
 
 # -- words and the canonical form -------------------------------------------
@@ -366,6 +401,21 @@ def test_conjugacy_cycle_type_fast_path():
     assert are_conjugate(h1, h2) is None
 
 
+def test_conjugator_matches_orbits_by_code():
+    # most classes at (4, 6) have several orbits; a random relabelling
+    # reorders them, so the conjugator must pair orbits by their codes
+    rng = random.Random(5)
+    classes = [c["hom"] for c in search_homs(4, 6)]
+    for i, h in enumerate(classes):
+        t = Perm(tuple(rng.sample(range(1, 7), 6)))
+        other = _relabel(h, t)
+        w = are_conjugate(h, other)
+        assert w is not None and _relabel(h, w) == other
+        for g in classes[i + 1:]:
+            assert are_conjugate(g, other) is None
+            assert are_conjugate_dfs(g, other) is None
+
+
 def test_conjugacy_dimension_guard():
     with pytest.raises(ValueError):
         are_conjugate(standard_mu(4), standard_mu(5))
@@ -492,5 +542,6 @@ def test_conjugacy_key_iff_conjugator(pair):
     h1, h2 = pair
     w = are_conjugate(h1, h2)
     assert (_key(h1) == _key(h2)) == (w is not None)
+    assert (are_conjugate_dfs(h1, h2) is not None) == (w is not None)
     if w is not None:
         assert _relabel(h1, w) == h2

@@ -1,5 +1,6 @@
 import json
 
+from confspace import braid
 from confspace.cli import run
 
 
@@ -98,6 +99,14 @@ def test_disc_capacity(capsys):
 def test_braid_search_capacity(capsys):
     assert run(["braid-search", "--n", "4", "--k", "9"]) == 2
     assert "k <= 8" in capsys.readouterr().err
+
+
+def test_braid_gallery_closure_capacity(capsys, monkeypatch):
+    monkeypatch.setattr(braid, "_CLOSURE_LIMIT", 500)
+    assert run(["braid-gallery", "--name", "mu", "--n", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "capped at 500 elements" in captured.err
 
 
 def test_abc_command(capsys):
