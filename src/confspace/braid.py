@@ -120,6 +120,9 @@ class Perm:
 
     @classmethod
     def transposition(cls, k, i):
+        if not 1 <= i < k:
+            raise ValueError("transposition index %r outside 1..%d"
+                             % (i, k - 1))
         return _perm(_ptransp(k, i - 1))
 
     def __call__(self, x):
@@ -253,31 +256,31 @@ def exponent_sum(w):
 # ---------------------------------------------------------------------------
 #
 # A permutation factor is an image tuple p with p[i] the final position of
-# the strand starting at i.  Products read left to right.
+# the strand starting at i.  Products read left to right.  The generators a
+# positive word for p can begin with are its descents {i : p[i] > p[i + 1]}.
 
 
-def _starting_set(p):
-    """Generators that can begin a positive word for the factor."""
-    return {i for i in range(len(p) - 1) if p[i] > p[i + 1]}
+def _tau(p):
+    """Conjugate of a factor by the half twist: delta * p * delta."""
+    top = len(p) - 1
+    return tuple(top - v for v in reversed(p))
 
 
-def _finishing_set(p):
-    return _starting_set(_pinv(p))
-
-
-def _left_gcd(x, y):
-    """Greatest common prefix of two permutation factors."""
-    n = len(x)
-    u = _pid(n)
-    while True:
-        common = _starting_set(x) & _starting_set(y)
-        if not common:
-            return u
-        i = min(common)
-        t = _ptransp(n, i)
-        u = _pmul(u, t)
-        x = _pmul(t, x)
-        y = _pmul(t, y)
+def _left_weight(a, b):
+    """(a u, u^-1 b) for u the left gcd of a^-1 delta and b, or None when u
+    is trivial, i.e. (a, b) is left-weighted.  a^-1 delta descends where
+    a^-1 ascends; taking generator i off the front of a factor swaps its
+    positions i and i + 1, which can only make a descent at i - 1 or i + 1."""
+    ainv, b = list(_pinv(a)), list(b)
+    moved, i = False, 0
+    while i < len(b) - 1:
+        if ainv[i] < ainv[i + 1] and b[i] > b[i + 1]:
+            ainv[i], ainv[i + 1] = ainv[i + 1], ainv[i]
+            b[i], b[i + 1] = b[i + 1], b[i]
+            moved, i = True, max(i - 1, 0)
+        else:
+            i += 1
+    return (_pinv(ainv), tuple(b)) if moved else None
 
 
 class CanonicalBraid:
@@ -307,54 +310,46 @@ class CanonicalBraid:
             self.n, self.infimum, len(self.factors))
 
 
-def _normalize_factors(n, factors):
-    """Left-weight a factor sequence; returns (delta_shift, factors)."""
-    fs = [f for f in factors if f != _pid(n)]
-    delta = _pdelta(n)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(fs) - 1):
-            a, b = fs[i], fs[i + 1]
-            if _starting_set(b) <= _finishing_set(a):
-                continue
-            rc = _pmul(_pinv(a), delta)  # right complement: a * rc = delta
-            u = _left_gcd(rc, b)
-            if u != _pid(n):
-                fs[i] = _pmul(a, u)
-                fs[i + 1] = _pmul(_pinv(u), b)
-                changed = True
-        fs = [f for f in fs if f != _pid(n)]
-    shift = 0
-    while fs and fs[0] == delta:
-        shift += 1
-        fs.pop(0)
-    return shift, fs
-
-
 def canonical_form(w):
-    """Left-greedy canonical form of a braid word."""
+    """Left-greedy canonical form of a braid word in one pass (Epstein et
+    al., Word Processing in Groups, ch. 9; Elrifai-Morton 1994).
+
+    The factors stay left-weighted, never trivial or delta, and stand for
+    their half-twist conjugates while ``flip`` is set.  A negative letter
+    s_i^-1 is delta^-1 (delta s_i^-1); delta^-1 passes to the front, so the
+    infimum drops and ``flip`` toggles.  Each letter's factor is appended
+    and pairs are left-weighted right to left until one already is; a left
+    factor that becomes delta passes to the front the same way, and only
+    the factors after it are conjugated back."""
     n = w.n
-    delta = _pdelta(n)
-    inf = 0
-    factors = []
+    if n == 2:  # s_1 is the half twist itself
+        return CanonicalBraid(n, exponent_sum(w), ())
+    delta, ident = _pdelta(n), _pid(n)
+    inf, flip, fs = 0, False, []
     for g in w.letters:
-        i = abs(g) - 1
-        t = _ptransp(n, i)
-        if g > 0:
-            factors.append(t)
-        else:
-            # inverse generator = half-twist^-1 times a permutation factor;
-            # pushing the negative half twist left conjugates what came before
-            factors = [_pmul(_pmul(delta, f), delta) for f in factors]
-            inf -= 1
-            factors.append(_pmul(delta, t))
-        if len(factors) > 4 * n:
-            shift, factors = _normalize_factors(n, factors)
-            inf += shift
-    shift, factors = _normalize_factors(n, factors)
-    inf += shift
-    return CanonicalBraid(n, inf, factors)
+        # s_i is the identity with positions i, i+1 swapped, delta s_i^-1 is
+        # delta with n-2-i, n-1-i swapped; a factor is stored conjugated
+        # (i -> n-2-i) if flip is set after its letter, so both swap i, i+1
+        # mirrored exactly when flip is set before it (s_i^-1 toggles flip)
+        i = n - 1 - abs(g) if flip else abs(g) - 1
+        s = list(ident if g > 0 else delta)
+        s[i], s[i + 1] = s[i + 1], s[i]
+        if g < 0:
+            inf, flip = inf - 1, not flip
+        fs.append(tuple(s))
+        j = len(fs) - 1
+        while j and (pair := _left_weight(fs[j - 1], fs[j])):
+            a, fs[j] = pair
+            if a == delta:
+                del fs[j - 1]
+                inf, flip = inf + 1, not flip
+                fs[j - 1:] = map(_tau, fs[j - 1:])
+                break
+            fs[j - 1] = a
+            j -= 1
+        if fs and fs[-1] == ident:  # the new factor was absorbed
+            fs.pop()
+    return CanonicalBraid(n, inf, map(_tau, fs) if flip else fs)
 
 
 def words_equal(w1, w2):

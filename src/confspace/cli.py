@@ -59,13 +59,27 @@ def _cmd_complex(args):
     return _emit(payload)
 
 
+# canonical_form costs up to about n L^2 (walks across the whole factor
+# list) plus n^2 L (up to n(n-1)/2 crossings moved per step) for L letters
+# on n strands; at this cap the slowest words measured take about 3 s
+# each (2 CPUs, Python 3.11.7)
+_WORD_WORK_LIMIT = 10 ** 7
+
+
 def _cmd_braid_equal(args):
     lhs = braid.BraidWord.parse(args.n, args.lhs)
     rhs = braid.BraidWord.parse(args.n, args.rhs)
-    equal = braid.words_equal(lhs, rhs)
+    for w in (lhs, rhs):
+        n, length = w.n, len(w.letters)
+        if n * length * (n + length) > _WORD_WORK_LIMIT:
+            raise ratios.CapacityError(
+                "braid words capped at n * L * (n + L) <= %d (n strands, L "
+                "letters; the slowest measured take about 3 s), got n = %d,"
+                " L = %d" % (_WORD_WORK_LIMIT, n, length))
+    cl, cr = braid.canonical_form(lhs), braid.canonical_form(rhs)
+    equal = cl == cr
     payload = {"n": args.n, "equal": equal}
     if not equal:
-        cl, cr = braid.canonical_form(lhs), braid.canonical_form(rhs)
         payload["witness"] = {
             "lhs_canonical": {"infimum": cl.infimum,
                               "factors": [list(f) for f in cl.factors]},
@@ -140,6 +154,17 @@ def _cmd_abc(args):
     return _emit(report, 0 if report["pass"] else 1)
 
 
+def _at_least(low):
+    """An argparse type: an integer no smaller than ``low``."""
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                "must be at least %d, got %d" % (low, value))
+        return value
+    return integer
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="confspace",
@@ -162,16 +187,16 @@ def build_parser():
 
     p = sub.add_parser("braid-search",
                        help="classify homomorphisms to a symmetric group")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=_at_least(2), required=True)
+    p.add_argument("--k", type=_at_least(1), required=True)
     p.set_defaults(func=_cmd_braid_search)
 
     p = sub.add_parser("braid-gallery", help="named homomorphisms")
     p.add_argument("--name", required=True,
                    choices=("mu", "nu6", "nu41", "nu42", "nu43",
                             "phi1", "phi2", "phi3", "phixy"))
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
+    p.add_argument("--n", type=_at_least(2), default=None)
+    p.add_argument("--r", type=_at_least(1), default=None)
     p.add_argument("--x", type=int, default=None)
     p.add_argument("--y", type=int, default=None)
     p.set_defaults(func=_cmd_braid_gallery)
@@ -179,7 +204,7 @@ def build_parser():
     p = sub.add_parser("gallery-verify", help="verify a gallery identity")
     p.add_argument("--name", required=True,
                    choices=sorted(morphisms.GALLERY_CHECKS))
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_at_least(1), default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--symbolic", action="store_true")
     p.set_defaults(func=_cmd_gallery_verify)

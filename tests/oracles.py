@@ -4,7 +4,8 @@ These deliberately avoid the code paths they validate: determinants by
 cofactor expansion, evaluation by direct term arithmetic, gcds by a
 remainder sequence, orbit representatives by exhaustive relabeling,
 homomorphism classes by Perm products, closures and pairwise conjugacy,
-conjugators by depth-first search.
+conjugators by depth-first search, braid canonical forms by repeated
+sweeps over the whole factor list.
 """
 
 from fractions import Fraction
@@ -12,8 +13,14 @@ from itertools import permutations
 from math import factorial
 
 from confspace.braid import (
+    CanonicalBraid,
     Perm,
     SymHom,
+    _pdelta,
+    _pid,
+    _pinv,
+    _pmul,
+    _ptransp,
     alpha_word,
     check_relations,
     conjugacy_class_reps,
@@ -253,3 +260,80 @@ def search_homs_pairwise(n, k, include_cyclic=True):
         )
 
     return [{"hom": h, **props} for h, props in sorted(found, key=sort_key)]
+
+
+def _starting_set(p):
+    """Generators that can begin a positive word for the factor."""
+    return {i for i in range(len(p) - 1) if p[i] > p[i + 1]}
+
+
+def _finishing_set(p):
+    return _starting_set(_pinv(p))
+
+
+def _left_gcd(x, y):
+    """Greatest common prefix of two permutation factors."""
+    n = len(x)
+    u = _pid(n)
+    while True:
+        common = _starting_set(x) & _starting_set(y)
+        if not common:
+            return u
+        i = min(common)
+        t = _ptransp(n, i)
+        u = _pmul(u, t)
+        x = _pmul(t, x)
+        y = _pmul(t, y)
+
+
+def _normalize_factors(n, factors):
+    """Left-weight a factor sequence; returns (delta_shift, factors)."""
+    fs = [f for f in factors if f != _pid(n)]
+    delta = _pdelta(n)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(fs) - 1):
+            a, b = fs[i], fs[i + 1]
+            if _starting_set(b) <= _finishing_set(a):
+                continue
+            rc = _pmul(_pinv(a), delta)  # right complement: a * rc = delta
+            u = _left_gcd(rc, b)
+            if u != _pid(n):
+                fs[i] = _pmul(a, u)
+                fs[i + 1] = _pmul(_pinv(u), b)
+                changed = True
+        fs = [f for f in fs if f != _pid(n)]
+    shift = 0
+    while fs and fs[0] == delta:
+        shift += 1
+        fs.pop(0)
+    return shift, fs
+
+
+def canonical_form_sweep(w):
+    """Left-greedy canonical form: every negative letter conjugates all
+    earlier factors by the half twist, and the factor list is swept until
+    every adjacent pair is left-weighted (past 4n factors after each letter,
+    and once at the end)."""
+    n = w.n
+    delta = _pdelta(n)
+    inf = 0
+    factors = []
+    for g in w.letters:
+        i = abs(g) - 1
+        t = _ptransp(n, i)
+        if g > 0:
+            factors.append(t)
+        else:
+            # inverse generator = half-twist^-1 times a permutation factor;
+            # pushing the negative half twist left conjugates what came before
+            factors = [_pmul(_pmul(delta, f), delta) for f in factors]
+            inf -= 1
+            factors.append(_pmul(delta, t))
+        if len(factors) > 4 * n:
+            shift, factors = _normalize_factors(n, factors)
+            inf += shift
+    shift, factors = _normalize_factors(n, factors)
+    inf += shift
+    return CanonicalBraid(n, inf, factors)

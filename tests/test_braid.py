@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 
 import pytest
@@ -38,6 +39,7 @@ from confspace.braid import (
 )
 from oracles import (
     are_conjugate_dfs,
+    canonical_form_sweep,
     cyclic_by_closure,
     passing_homs,
     search_homs_pairwise,
@@ -96,6 +98,16 @@ def test_perm_is_hashable_and_immutable():
     with pytest.raises(AttributeError):
         p._t = (0, 1, 2)
     assert p.images == (2, 3, 1)
+
+
+def test_transposition_range():
+    assert Perm.transposition(4, 1).images == (2, 1, 3, 4)
+    assert Perm.transposition(4, 3).images == (1, 2, 4, 3)
+    for i in (0, 4, -1, 5):
+        with pytest.raises(ValueError):
+            Perm.transposition(4, i)
+    with pytest.raises(ValueError):
+        Perm.transposition(1, 1)
 
 
 # -- words and the canonical form -------------------------------------------
@@ -193,6 +205,69 @@ _RELATORS = {
     )
     for n in (3, 4, 5, 6)
 }
+
+
+@st.composite
+def braid_words(draw, max_len=150):
+    """Words on 2..8 strands, all positive, all negative or mixed, of a
+    length drawn uniformly up to ``max_len``."""
+    n = draw(st.integers(2, 8))
+    generator = st.integers(1, n - 1)
+    letter = draw(st.sampled_from((
+        generator,
+        generator.map(operator.neg),
+        st.builds(operator.mul, generator, st.sampled_from((1, -1))),
+    )))
+    length = draw(st.integers(0, max_len))
+    return BraidWord(n, tuple(draw(st.lists(
+        letter, min_size=length, max_size=length))))
+
+
+@settings(deadline=None, max_examples=150)
+@given(braid_words())
+def test_canonical_form_matches_sweep(w):
+    assert canonical_form(w) == canonical_form_sweep(w)
+
+
+def test_two_strand_canonical_form():
+    # s_1 is the half twist, so a letter's factor is delta or the identity
+    for length in range(9):
+        for signs in itertools.product((1, -1), repeat=length):
+            w = BraidWord(2, signs)
+            cf = canonical_form(w)
+            assert cf == canonical_form_sweep(w)
+            assert cf.infimum == sum(signs) and cf.factors == ()
+
+
+def _descents(p):
+    return {i for i in range(len(p) - 1) if p[i] > p[i + 1]}
+
+
+def _inverse(p):
+    return tuple(sorted(range(len(p)), key=p.__getitem__))
+
+
+@settings(deadline=None)
+@given(braid_words(max_len=300))
+def test_canonical_form_structure(w):
+    n = w.n
+    cf = canonical_form(w)
+    delta = tuple(range(n - 1, -1, -1))
+    for f in cf.factors:
+        assert sorted(f) == list(range(n))
+        assert f != tuple(range(n)) and f != delta
+    # left-weighted: every generator b can begin with, a can end with
+    for a, b in zip(cf.factors, cf.factors[1:]):
+        assert _descents(b) <= _descents(_inverse(a))
+    inversions = sum(f[i] > f[j] for f in cf.factors
+                     for i, j in itertools.combinations(range(n), 2))
+    assert exponent_sum(w) == cf.infimum * n * (n - 1) // 2 + inversions
+    image = Perm.identity(n)
+    if cf.infimum % 2:
+        image = Perm(tuple(range(n, 0, -1)))
+    for f in cf.factors:
+        image = image * Perm(tuple(v + 1 for v in f))
+    assert mu_image(w) == image
 
 
 def test_relator_insertion_invariance():

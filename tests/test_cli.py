@@ -1,4 +1,7 @@
 import json
+import random
+
+import pytest
 
 from confspace import braid
 from confspace.cli import run
@@ -49,6 +52,52 @@ def test_braid_equal_false_carries_witness(capsys):
     data = json.loads(out)
     assert data["equal"] is False
     assert "witness" in data
+
+
+def test_braid_equal_capacity(capsys, monkeypatch):
+    def no_normal_form(w):
+        raise AssertionError("normal-form work before the capacity check")
+
+    monkeypatch.setattr(braid, "canonical_form", no_normal_form)
+    long_word = " ".join(["1", "3"] * 1000)
+    assert run(["braid-equal", "--n", "4", "--lhs", "1",
+                "--rhs", long_word]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n * L * (n + L) <= 10000000" in captured.err
+    assert "L = 2000" in captured.err
+
+
+def test_braid_equal_cap_admits_long_words(capsys):
+    # 1000 mixed letters on 6 strands, and 600 on 8 (past every benchmark
+    # word), stay under the cap
+    rng = random.Random(5)
+    for n, length in ((6, 1000), (8, 600)):
+        text = " ".join(str(rng.choice((1, -1)) * rng.randint(1, n - 1))
+                        for _ in range(length))
+        status, out = capture(
+            capsys, ["braid-equal", "--n", str(n), "--lhs", text,
+                     "--rhs", text])
+        assert status == 0
+        assert json.loads(out) == {"n": n, "equal": True}
+
+
+@pytest.mark.parametrize("argv", [
+    ["braid-search", "--n", "1", "--k", "4"],
+    ["braid-search", "--n", "4", "--k", "0"],
+    ["braid-search", "--n", "4", "--k", "-1"],
+    ["braid-gallery", "--name", "mu", "--n", "1"],
+    ["braid-gallery", "--name", "phi1", "--n", "0"],
+    ["braid-gallery", "--name", "phixy", "--n", "4", "--r", "0",
+     "--x", "1", "--y", "1"],
+    ["gallery-verify", "--name", "ferrari", "--trials", "-5"],
+    ["gallery-verify", "--name", "eisenstein", "--trials", "0"],
+])
+def test_degenerate_inputs_refused(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be at least" in captured.err
 
 
 def test_braid_search(capsys):
