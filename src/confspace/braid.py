@@ -112,6 +112,10 @@ class Perm:
 
     @classmethod
     def from_cycles(cls, k, *cycles):
+        points = [a for cyc in cycles for a in cyc]
+        if len(set(points)) != len(points) or not all(
+                1 <= a <= k for a in points):
+            raise ValueError("cycle points must be distinct and in 1..%d" % k)
         imgs = list(range(1, k + 1))
         for cyc in cycles:
             for a, b in zip(cyc, cyc[1:] + (cyc[0],)):
@@ -390,6 +394,9 @@ class SymHom:
     presentation: str = ARTIN
 
     def __post_init__(self):
+        if self.n < 2 or self.k < 1:
+            raise ValueError("need n >= 2 strands and degree k >= 1, got "
+                             "n = %d, k = %d" % (self.n, self.k))
         bad = check_relations(self.images, self.n, self.k, self.presentation)
         if bad is not None:
             raise ValueError("defining relation violated: %s" % (bad,))

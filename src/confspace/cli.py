@@ -38,7 +38,20 @@ def _emit(payload, status=0):
     return status
 
 
+# the complexes on n marks have about n^3 2^(n-3) simplices, and --orbits
+# normalises every one of a dimension; at this cap the slowest accepted call,
+# cr n = 9 --orbits 3, takes 2.5-3.0 s in-process (2 CPUs, Python 3.11.7)
+_COMPLEX_MARK_LIMIT = 9
+
+
 def _cmd_complex(args):
+    # family l on n marks is built as cr(n + 1)
+    marks = args.n + 1 if args.family == "l" else args.n
+    if marks > _COMPLEX_MARK_LIMIT:
+        raise ratios.CapacityError(
+            "ratio complexes capped at %d marks (n, or n + 1 for family l; "
+            "the slowest accepted call, cr n = 9 --orbits 3, takes about "
+            "3 s), got %d" % (_COMPLEX_MARK_LIMIT, marks))
     c = ratios.build_complex(args.n, args.family)
     payload = c.to_json()
     payload["dim"] = ratios.complex_dimension(c)

@@ -303,13 +303,42 @@ def catalogue(n, family):
     return sorted(vs)
 
 
+def _frame_tops(n):
+    """Maximal simplices of cr(n): {cr(f1, f2, f3, x)} per ordered frame f."""
+    marks = range(1, n + 1)
+    return {frozenset(cr_vertex(*f, x) for x in marks if x not in f)
+            for f in itertools.permutations(marks, 3)}
+
+
+def _star_tops(n):
+    """Maximal simplices of sr(n): the stars sr(a, ., k) and sr(., a, k)."""
+    marks = range(1, n + 1)
+    tops = set()
+    for a, k in itertools.permutations(marks, 2):
+        rest = [x for x in marks if x not in (a, k)]
+        tops.add(frozenset(sr_vertex(a, x, k) for x in rest))
+        tops.add(frozenset(sr_vertex(x, a, k) for x in rest))
+    return tops
+
+
+def _from_infinity(v, inf):
+    """v with q_inf sent to infinity: cr(i, j, inf, k) becomes sr(i, j, k)."""
+    if inf not in v.indices:
+        return v
+    j, i, k = _cr_slot4_frame(v.indices, inf)
+    return sr_vertex(i, j, k)
+
+
 class RatioComplex:
-    """Flag complex of the divisibility graph on a ratio catalogue.
+    """Divisibility complex on a ratio catalogue, built from its top simplices.
 
     ``family`` selects the vertex set ("sr", "cr" or "l").  Pure-family
-    complexes use family-internal divisibility; the full complex uses the
-    catalogue relation.  Maximal simplices come from Bron-Kerbosch with
-    pivoting and are canonically sorted.
+    complexes use family-internal divisibility; the full complex "l" uses
+    the catalogue relation.  Each is the flag complex of its relation, and
+    every simplex of dimension >= 1 lies in exactly one maximal simplex.
+    The maximal simplices are listed directly: frames for "cr", stars on a
+    common (top, numerator) or (top, denominator) for "sr", and for "l" the
+    frames of cr(n+1) with mark n+1 sent to infinity.  Every list is sorted.
     """
 
     def __init__(self, n, family):
@@ -323,80 +352,30 @@ class RatioComplex:
         self.family = family
         self.vertices = catalogue(n, family)
         self._index = {v: i for i, v in enumerate(self.vertices)}
-        edge_pred = divides_oracle if family == "l" else _pure_edge
-        V = len(self.vertices)
-        adj = [0] * V
-        edges = []
-        for a in range(V):
-            va = self.vertices[a]
-            for b in range(a + 1, V):
-                if edge_pred(va, self.vertices[b]):
-                    adj[a] |= 1 << b
-                    adj[b] |= 1 << a
-                    edges.append((a, b))
-        self._adj = adj
+        if family == CR:
+            tops = _frame_tops(n)
+        elif family == SR:
+            tops = _star_tops(n)
+        else:
+            tops = {frozenset(_from_infinity(v, n + 1) for v in t)
+                    for t in _frame_tops(n + 1)}
+        self._tops = sorted(tuple(sorted(self._index[v] for v in t))
+                            for t in tops)
         self._by_dim = None
-        self.divisibility_edges = edges
-        self.maximal_simplices = self._maximal_cliques()
+        self.divisibility_edges = self._faces(2)
+        self.maximal_simplices = [
+            make_simplex([self.vertices[i] for i in t]) for t in self._tops]
 
-    # -- clique machinery ------------------------------------------------
-
-    def _maximal_cliques(self):
-        adj = self._adj
-        out = []
-
-        def expand(r, p, x):
-            if not p and not x:
-                out.append(tuple(sorted(r)))
-                return
-            pivot_pool = p | x
-            u = (pivot_pool & -pivot_pool).bit_length() - 1
-            best, bestdeg = u, -1
-            pool = pivot_pool
-            while pool:
-                v = (pool & -pool).bit_length() - 1
-                pool &= pool - 1
-                deg = (p & adj[v]).bit_count()
-                if deg > bestdeg:
-                    best, bestdeg = v, deg
-            cand = p & ~adj[best]
-            while cand:
-                v = (cand & -cand).bit_length() - 1
-                cand &= cand - 1
-                expand(r + [v], p & adj[v], x & adj[v])
-                p &= ~(1 << v)
-                x |= 1 << v
-
-        expand([], (1 << len(self.vertices)) - 1, 0)
-        cliques = sorted(out)
-        return [make_simplex([self.vertices[i] for i in c]) for c in cliques]
+    def _faces(self, size):
+        """The sorted union of the ``size``-subsets of the top simplices."""
+        return sorted({f for t in self._tops
+                       for f in itertools.combinations(t, size)})
 
     def all_simplices_by_dim(self):
-        """Every simplex (clique), grouped by dimension, indices sorted."""
-        if self._by_dim is not None:
-            return self._by_dim
-        adj = self._adj
-        V = len(self.vertices)
-        by_size = {}
-
-        def rec(clique, cand):
-            by_size.setdefault(len(clique), []).append(tuple(clique))
-            m = cand
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                higher = ~((1 << (v + 1)) - 1)
-                rec(clique + [v], cand & adj[v] & higher)
-
-        full = (1 << V) - 1
-        m = full
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            higher = ~((1 << (v + 1)) - 1)
-            rec([v], adj[v] & higher)
-        top = max(by_size) if by_size else 0
-        self._by_dim = [sorted(by_size.get(k + 1, ())) for k in range(top)]
+        """Every simplex, grouped by dimension, indices sorted."""
+        if self._by_dim is None:
+            top = max(len(t) for t in self._tops)
+            self._by_dim = [self._faces(k + 1) for k in range(top)]
         return self._by_dim
 
     def simplex_counts(self):
@@ -503,6 +482,7 @@ def _complete_permutation(partial, n):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def delta_s(m, sign=1):
     """The reference simple m-simplex (sign < 0 gives the reciprocal one)."""
     if sign >= 0:
@@ -510,6 +490,7 @@ def delta_s(m, sign=1):
     return make_simplex([sr_vertex(2, t, 1) for t in range(3, m + 4)])
 
 
+@lru_cache(maxsize=None)
 def delta_c(m):
     """The reference cross m-simplex."""
     return make_simplex([cr_vertex(1, 2, 3, t) for t in range(4, m + 5)])
@@ -579,7 +560,10 @@ def normal_form(s, n=None):
                 partial[x] = t + 4
             sigma = _complete_permutation(partial, n)
             canonical = delta_c(m)
-    if act(sigma, s) != canonical:
+    # compared as vertices: relabelling keeps divisibility, so the pairwise
+    # re-check of act(sigma, s) could not fail
+    moved = sorted(_apply_perm_vertex(sigma, v) for v in s.vertices)
+    if tuple(moved) != canonical.vertices:
         raise AssertionError("normalization failed for %r" % (s,))
     return sigma, canonical
 

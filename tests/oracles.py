@@ -5,12 +5,16 @@ cofactor expansion, evaluation by direct term arithmetic, gcds by a
 remainder sequence, orbit representatives by exhaustive relabeling,
 homomorphism classes by Perm products, closures and pairwise conjugacy,
 conjugators by depth-first search, braid canonical forms by repeated
-sweeps over the whole factor list.
+sweeps over the whole factor list, ratio complexes by a pairwise
+divisibility scan.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from functools import lru_cache
+from itertools import combinations, permutations
 from math import factorial
+
+import networkx
 
 from confspace.braid import (
     CanonicalBraid,
@@ -25,6 +29,7 @@ from confspace.braid import (
     check_relations,
     conjugacy_class_reps,
 )
+from confspace.ratios import RatioVertex, cr_vertex, divides_oracle
 
 
 def cofactor_det(matrix):
@@ -89,6 +94,32 @@ def brute_orbit_key(simplex, n, act):
         if best is None or key < best:
             best = key
     return best
+
+
+@lru_cache(maxsize=None)
+def divisibility_graph(n, family):
+    """Sorted vertices on marks 1..n and their divisibility graph.
+
+    Every pair is tested with ``divides_oracle``: all pairs for "l", the
+    cross-ratio pairs for "cr", and for "sr" the simple-ratio pairs with a
+    common top mark.  Nodes are indices into the vertex list.
+    """
+    marks = range(1, n + 1)
+    vertices = []
+    if family in ("sr", "l"):
+        vertices += [RatioVertex("sr", t) for t in permutations(marks, 3)]
+    if family in ("cr", "l"):
+        vertices += {cr_vertex(*t) for t in permutations(marks, 4)}
+    vertices.sort()
+    graph = networkx.Graph()
+    graph.add_nodes_from(range(len(vertices)))
+    for a, b in combinations(range(len(vertices)), 2):
+        va, vb = vertices[a], vertices[b]
+        if family == "sr" and va.indices[2] != vb.indices[2]:
+            continue
+        if divides_oracle(va, vb):
+            graph.add_edge(a, b)
+    return vertices, graph
 
 
 def rank_mod_p(matrix, p):

@@ -110,6 +110,26 @@ def test_transposition_range():
         Perm.transposition(1, 1)
 
 
+def test_from_cycles_checks_points():
+    assert Perm.from_cycles(4, (1, 2), (3, 4)).images == (2, 1, 4, 3)
+    assert Perm.from_cycles(3).images == (1, 2, 3)
+    # a point outside 1..k, or one repeated within or across cycles
+    for cycles in (((1, 5),), ((0, 1),), ((1, 2, 1),), ((1, 2), (2, 3)),
+                   ((1, 2), (2, 1))):
+        with pytest.raises(ValueError):
+            Perm.from_cycles(3, *cycles)
+
+
+def test_degenerate_degrees_refused():
+    # a homomorphism needs n >= 2 strands and a degree k >= 1
+    for make in (lambda: lattice_hom(4, 0, 1, 1),
+                 lambda: standard_gallery("mu", n=1),
+                 lambda: doubling_hom(1, 1),
+                 lambda: SymHom(1, 3, ())):
+        with pytest.raises(ValueError, match="n >= 2 strands"):
+            make()
+
+
 # -- words and the canonical form -------------------------------------------
 
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from confspace import braid
+from confspace import braid, ratios
 from confspace.cli import run
 
 
@@ -66,6 +66,34 @@ def test_braid_equal_capacity(capsys, monkeypatch):
     assert captured.out == ""
     assert "n * L * (n + L) <= 10000000" in captured.err
     assert "L = 2000" in captured.err
+
+
+def test_complex_capacity(capsys, monkeypatch):
+    def no_build(n, family):
+        raise AssertionError("complex built before the capacity check")
+
+    monkeypatch.setattr(ratios, "build_complex", no_build)
+    # family l on n marks counts as cr on n + 1
+    for family, n in (("cr", "10"), ("sr", "10"), ("l", "9")):
+        assert run(["complex", "--n", n, "--family", family,
+                    "--homology"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "capped at 9 marks" in captured.err
+        assert "got 10" in captured.err
+
+
+def test_complex_cap_admits_nine_marks(monkeypatch):
+    class Built(Exception):
+        pass
+
+    def build(n, family):
+        raise Built
+
+    monkeypatch.setattr(ratios, "build_complex", build)
+    for family, n in (("cr", "9"), ("sr", "9"), ("l", "8")):
+        with pytest.raises(Built):
+            run(["complex", "--n", n, "--family", family, "--orbits", "3"])
 
 
 def test_braid_equal_cap_admits_long_words(capsys):

@@ -1,7 +1,9 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
+import networkx
 import pytest
 
 from confspace import homology
@@ -31,7 +33,7 @@ from confspace.ratios import (
     sr_vertex,
     verify_abc,
 )
-from oracles import brute_orbit_key
+from oracles import brute_orbit_key, divisibility_graph
 
 
 def test_vertex_validation():
@@ -166,6 +168,77 @@ def test_euler_characteristic_formula():
     for n in (4, 5, 6):
         c = build_complex(n, "cr")
         assert euler_characteristic(c) == n * (n - 1) * (n - 2) * (13 - 3 * n) // 4
+
+
+@pytest.mark.parametrize("family, n", [
+    *(("cr", n) for n in range(4, 9)),
+    *(("sr", n) for n in range(3, 9)),
+    *(("l", n) for n in range(3, 7)),
+])
+def test_complex_matches_pairwise_oracle(family, n):
+    # vertices, edges, maximal simplices and every simplex against the
+    # pairwise divisibility scan and the cliques networkx finds in it
+    vertices, graph = divisibility_graph(n, family)
+    c = build_complex(n, family)
+    assert c.vertices == vertices
+    assert c.divisibility_edges == sorted(
+        tuple(sorted(e)) for e in graph.edges)
+    index = {v: i for i, v in enumerate(vertices)}
+    assert [tuple(index[v] for v in s.vertices)
+            for s in c.maximal_simplices] == sorted(
+        tuple(sorted(q)) for q in networkx.find_cliques(graph))
+    by_size = {}
+    for q in networkx.enumerate_all_cliques(graph):
+        by_size.setdefault(len(q), []).append(tuple(sorted(q)))
+    assert c.all_simplices_by_dim() == [
+        sorted(by_size[k]) for k in range(1, max(by_size) + 1)]
+
+
+@pytest.mark.parametrize("family, n", [
+    *(("cr", n) for n in range(4, 10)),
+    *(("sr", n) for n in range(3, 10)),
+    *(("l", n) for n in range(3, 9)),
+])
+def test_closed_f_vector_and_homology(family, n):
+    # every simplex of dimension >= 1 lies in exactly one maximal simplex:
+    # n(n-1)(n-2) frames of n-3 vertices for cr, 2n(n-1) stars of n-2 for
+    # sr, and l on n marks counts as cr on n+1
+    marks = n + 1 if family == "l" else n
+    if family == "sr":
+        f0 = n * (n - 1) * (n - 2)
+        tops, size = 2 * n * (n - 1), n - 2
+    else:
+        f0 = 6 * comb(marks, 4)
+        tops, size = marks * (marks - 1) * (marks - 2), marks - 3
+    f = [f0] + [tops * comb(size, m + 1) for m in range(1, size)]
+    c = build_complex(n, family)
+    assert c.simplex_counts() == f
+    chi = sum((-1) ** m * fm for m, fm in enumerate(f))
+    rep = homology_report(c)
+    assert rep["chi"] == chi
+    # homotopy equivalent to a graph: nothing above degree one, no torsion
+    assert not any(rep["betti"][2:])
+    assert not any(rep["torsion"])
+    betti = rep["betti"] + [0]
+    assert betti[0] - betti[1] == chi
+    if size >= 2:
+        # cr and l are connected, so b_1 = 1 - chi; sr has one component
+        # per top mark
+        assert betti[0] == (n if family == "sr" else 1)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_l_is_cr_with_a_mark_at_infinity(n):
+    # sr(i, j, k) -> cr(i, j, n+1, k) carries the l edges onto cr(n+1)'s
+    l_vertices, l_graph = divisibility_graph(n, "l")
+    cr_vertices, cr_graph = divisibility_graph(n + 1, "cr")
+    cr_index = {v: i for i, v in enumerate(cr_vertices)}
+    image = [cr_index[cr_vertex(v.indices[0], v.indices[1], n + 1,
+                                v.indices[2]) if v.kind == "sr" else v]
+             for v in l_vertices]
+    assert sorted(image) == list(range(len(cr_vertices)))
+    assert ({frozenset((image[a], image[b])) for a, b in l_graph.edges}
+            == {frozenset(e) for e in cr_graph.edges})
 
 
 def test_flag_property():
