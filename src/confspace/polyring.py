@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 
 BigRational = Fraction
 
@@ -27,6 +28,13 @@ def _mono_degree(m):
     return sum(e for _, e in m)
 
 
+def _check_exponent(e):
+    if not isinstance(e, int) or e < 0:
+        raise ValueError("exponent must be a non-negative integer, got %r"
+                         % (e,))
+    return e
+
+
 class MultiPoly:
     """Polynomial with integer coefficients in named variables.
 
@@ -43,8 +51,8 @@ class MultiPoly:
             terms = {}
         clean = {}
         for mono, coeff in terms.items():
+            key = tuple(sorted((v, e) for v, e in mono if _check_exponent(e)))
             if coeff:
-                key = tuple(sorted((v, e) for v, e in mono if e != 0))
                 clean[key] = clean.get(key, 0) + coeff
                 if clean[key] == 0:
                     del clean[key]
@@ -70,9 +78,7 @@ class MultiPoly:
 
     @classmethod
     def var(cls, name, exp=1):
-        if exp < 0:
-            raise ValueError("negative exponent")
-        if exp == 0:
+        if _check_exponent(exp) == 0:
             return cls.one()
         return cls({((name, exp),): 1})
 
@@ -279,12 +285,6 @@ class MultiPoly:
 
     # -- exact division ----------------------------------------------------
 
-    def _leading(self):
-        items = self.sorted_terms()
-        if not items:
-            raise ZeroDivisionError("zero polynomial")
-        return items[0]
-
     def exact_divide(self, divisor):
         """Exact polynomial division; raises ValueError if not exact."""
         if isinstance(divisor, int):
@@ -293,28 +293,11 @@ class MultiPoly:
             raise ZeroDivisionError("division by zero polynomial")
         if divisor.is_constant():
             return self.scalar_divide(divisor.constant_value())
-        rem = self
-        quo = MultiPoly.zero()
-        dm, dc = divisor._leading()
-        dset = dict(dm)
-        while not rem.is_zero():
-            rm, rc = rem._leading()
-            rset = dict(rm)
-            mono = {}
-            for v, e in dset.items():
-                if rset.get(v, 0) < e:
-                    raise ValueError("inexact polynomial division")
-            for v, e in rset.items():
-                k = e - dset.get(v, 0)
-                if k:
-                    mono[v] = k
-            q, r = divmod(rc, dc)
-            if r:
-                raise ValueError("inexact polynomial division")
-            t = MultiPoly({tuple(sorted(mono.items())): q})
-            quo = quo + t
-            rem = rem - t * divisor
-        return quo
+        packing = _Packing(
+            sorted(set(self.variables()) | set(divisor.variables())),
+            max(_degree(self), _degree(divisor)))
+        return packing.unpack(_divide_packed(
+            packing.pack(self), packing.pack(divisor), packing.guard))
 
     # -- serialization ------------------------------------------------------
 
@@ -326,7 +309,7 @@ class MultiPoly:
     def from_json_terms(cls, data):
         terms = {}
         for coeff, expmap in data:
-            mono = tuple(sorted((str(v), int(e)) for v, e in expmap.items()))
+            mono = tuple(sorted((str(v), e) for v, e in expmap.items()))
             terms[mono] = terms.get(mono, 0) + int(coeff)
         return cls(terms)
 
@@ -346,6 +329,121 @@ class MultiPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
+def _degree(p):
+    """Total degree of a MultiPoly or int (0 for constants and zero)."""
+    if isinstance(p, int):
+        return 0
+    return max((_mono_degree(m) for m in p.terms), default=0)
+
+
+# ---------------------------------------------------------------------------
+# packed monomials
+# ---------------------------------------------------------------------------
+
+
+class _Packing:
+    """Monomials over a fixed sorted variable list, each packed in one int.
+
+    The fields are (total degree, e_v1, ..., e_vk), most significant first,
+    each ``width`` bits with a guard bit above that stays clear.  Comparing
+    two packed ints is then the graded-lex order of ``sorted_terms``,
+    multiplying monomials is adding ints (while every degree stays within
+    the bound the width was chosen for), and m is divisible by d exactly
+    when ``((m | guard) - d) & guard == guard``: a field of m below that of
+    d borrows its guard bit.
+    """
+
+    __slots__ = ("width", "shifts", "top", "guard")
+
+    def __init__(self, names, degree_bound):
+        self.width = max(degree_bound, 1).bit_length()
+        step = self.width + 1
+        k = len(names)
+        self.shifts = {v: (k - 1 - i) * step for i, v in enumerate(names)}
+        self.top = k * step
+        self.guard = sum(1 << (i * step + self.width) for i in range(k + 1))
+
+    def pack(self, p):
+        """{packed monomial: coefficient} for a MultiPoly or an int."""
+        if isinstance(p, int):
+            return {0: p} if p else {}
+        shifts, top = self.shifts, self.top
+        out = {}
+        for mono, c in p.terms.items():
+            packed = degree = 0
+            for v, e in mono:
+                packed |= e << shifts[v]
+                degree += e
+            out[packed | degree << top] = c
+        return out
+
+    def unpack(self, packed):
+        mask = (1 << self.width) - 1
+        fields = sorted(self.shifts.items())
+        terms = {}
+        for m, c in packed.items():
+            terms[tuple((v, m >> s & mask) for v, s in fields
+                        if m >> s & mask)] = c
+        res = MultiPoly.__new__(MultiPoly)
+        res._terms = terms
+        res._hash = None
+        return res
+
+
+def _divide_packed(num, den, guard):
+    """Exact quotient of packed polynomials; ValueError if not exact.
+
+    The remainder is a dict plus a max-heap of its monomials (negated for
+    heapq).  A monomial whose coefficient cancels stays in the heap and is
+    skipped when popped.  Every monomial a step adds lies below the one it
+    popped (the order is a monomial order), so the heap top is always the
+    leading term of the remainder and nothing is ever sorted.
+    """
+    lead = max(den)
+    lead_c = den[lead]
+    tail = [(m, c) for m, c in den.items() if m != lead]
+    rem = dict(num)
+    heap = [-m for m in rem]
+    heapify(heap)
+    quo = {}
+    while heap:
+        m = -heappop(heap)
+        c = rem.pop(m, 0)
+        if not c:
+            continue
+        if ((m | guard) - lead) & guard != guard:
+            raise ValueError("inexact polynomial division")
+        q, r = divmod(c, lead_c)
+        if r:
+            raise ValueError("inexact polynomial division")
+        m -= lead
+        quo[m] = q
+        for dm, dc in tail:
+            t = m + dm
+            s = rem.get(t, 0) - q * dc
+            if s:
+                if t not in rem:
+                    heappush(heap, -t)
+                rem[t] = s
+            else:
+                del rem[t]
+    return quo
+
+
+def _mul_sub(a, b, c, d):
+    """a*b - c*d on packed polynomials."""
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = ma + mb
+            out[m] = out.get(m, 0) + ca * cb
+    for mc, cc in c.items():
+        for md, cd in d.items():
+            m = mc + md
+            out[m] = out.get(m, 0) - cc * cd
+    return {m: v for m, v in out.items() if v}
+
+
 def poly_eval(p, assignment):
     """Evaluate p at a rational point; ring homomorphism in each argument."""
     return p.evaluate(assignment)
@@ -354,19 +452,6 @@ def poly_eval(p, assignment):
 # ---------------------------------------------------------------------------
 # determinants
 # ---------------------------------------------------------------------------
-
-
-def _exact_div(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        if r:
-            raise ValueError("inexact integer division in elimination")
-        return q
-    if isinstance(a, int):
-        a = MultiPoly.const(a)
-    if isinstance(b, int):
-        b = MultiPoly.const(b)
-    return a.exact_divide(b)
 
 
 def _is_zero(a):
@@ -378,7 +463,10 @@ def bareiss_det(matrix):
 
     Entries may be ints or MultiPoly values (mixed is fine).  Uses the
     two-step Bareiss recurrence with row pivoting; every division is
-    exact, so no fractions ever appear.
+    exact, so no fractions ever appear.  With any MultiPoly entry the
+    recurrence runs on packed polynomials: every intermediate entry is a
+    minor, of degree at most the sum S of the row degrees, so each
+    numerator has degree at most 2S and fields that wide never overflow.
     """
     m = [list(row) for row in matrix]
     size = len(m)
@@ -387,31 +475,59 @@ def bareiss_det(matrix):
             raise ValueError("matrix is not square")
     if size == 0:
         return 1
-    symbolic = any(isinstance(x, MultiPoly) for row in m for x in row)
-    zero = MultiPoly.zero() if symbolic else 0
+    if not any(isinstance(x, MultiPoly) for row in m for x in row):
+        sign, det = _bareiss(m, _int_step)
+        return -det if sign < 0 else det
+    names = sorted({v for row in m for x in row if isinstance(x, MultiPoly)
+                    for v in x.variables()})
+    packing = _Packing(names, 2 * sum(max(map(_degree, row)) for row in m))
+    guard = packing.guard
+
+    def packed_step(pivot, aij, aik, akj, prev):
+        num = _mul_sub(pivot, aij, aik, akj)
+        return num if prev is None else _divide_packed(num, prev, guard)
+
+    sign, det = _bareiss([[packing.pack(x) for x in row] for row in m],
+                         packed_step)
+    det = packing.unpack(det)
+    return -det if sign < 0 else det
+
+
+def _int_step(pivot, aij, aik, akj, prev):
+    num = pivot * aij - aik * akj
+    if prev is None:
+        return num
+    q, r = divmod(num, prev)
+    if r:
+        raise ValueError("inexact integer division in elimination")
+    return q
+
+
+def _bareiss(a, step):
+    """Run the recurrence in place on a square matrix of ints or packed
+    polynomials (zero is falsy in both); returns the sign of the row
+    swaps and the last pivot, which is zero if a column has none."""
+    size = len(a)
     sign = 1
-    prev = 1
+    prev = None
     for k in range(size - 1):
-        if _is_zero(m[k][k]):
+        if not a[k][k]:
             pivot_row = None
             for i in range(k + 1, size):
-                if not _is_zero(m[i][k]):
+                if a[i][k]:
                     pivot_row = i
                     break
             if pivot_row is None:
-                return zero
-            m[k], m[pivot_row] = m[pivot_row], m[k]
+                return 1, a[k][k]
+            a[k], a[pivot_row] = a[pivot_row], a[k]
             sign = -sign
+        top = a[k]
         for i in range(k + 1, size):
+            row = a[i]
             for j in range(k + 1, size):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = _exact_div(num, prev)
-            m[i][k] = 0
-        prev = m[k][k]
-    det = m[size - 1][size - 1]
-    if sign < 0:
-        det = -det
-    return det
+                row[j] = step(top[k], row[j], row[k], top[j], prev)
+        prev = top[k]
+    return sign, a[size - 1][size - 1]
 
 
 # ---------------------------------------------------------------------------

@@ -574,7 +574,7 @@ def orbit_decomposition(n, family, m):
         raise ValueError("orbit decomposition is defined for pure families")
     c = build_complex(n, family)
     dim = complex_dimension(c)
-    if m > dim:
+    if not 0 <= m <= dim:
         raise ValueError("no simplices of dimension %d (max %d)" % (m, dim))
     by_dim = c.all_simplices_by_dim()
     counts = {}

@@ -1,8 +1,9 @@
 """Independent reference implementations used only to check the library.
 
 These deliberately avoid the code paths they validate: determinants by
-cofactor expansion, evaluation by direct term arithmetic, gcds by a
-remainder sequence, orbit representatives by exhaustive relabeling,
+cofactor expansion, evaluation by direct term arithmetic, polynomial
+division by re-sorting the remainder at every step, gcds by a remainder
+sequence, orbit representatives by exhaustive relabeling,
 homomorphism classes by Perm products, closures and pairwise conjugacy,
 conjugators by depth-first search, braid canonical forms by repeated
 sweeps over the whole factor list, ratio complexes by a pairwise
@@ -29,6 +30,7 @@ from confspace.braid import (
     check_relations,
     conjugacy_class_reps,
 )
+from confspace.polyring import MultiPoly
 from confspace.ratios import RatioVertex, cr_vertex, divides_oracle
 
 
@@ -55,6 +57,37 @@ def eval_terms(poly, assignment):
             val *= Fraction(assignment[var]) ** exp
         total += val
     return total
+
+
+def exact_divide_sorting(f, g):
+    """f / g for MultiPolys, raising ValueError if inexact: each step takes
+    the leading terms from a full ``sorted_terms`` of the remainder."""
+    if g.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    if g.is_constant():
+        return f.scalar_divide(g.constant_value())
+    rem = f
+    quo = MultiPoly.zero()
+    dm, dc = g.sorted_terms()[0]
+    dset = dict(dm)
+    while not rem.is_zero():
+        rm, rc = rem.sorted_terms()[0]
+        rset = dict(rm)
+        mono = {}
+        for v, e in dset.items():
+            if rset.get(v, 0) < e:
+                raise ValueError("inexact polynomial division")
+        for v, e in rset.items():
+            k = e - dset.get(v, 0)
+            if k:
+                mono[v] = k
+        q, r = divmod(rc, dc)
+        if r:
+            raise ValueError("inexact polynomial division")
+        t = MultiPoly({tuple(sorted(mono.items())): q})
+        quo = quo + t
+        rem = rem - t * g
+    return quo
 
 
 def poly_gcd_degree(p, q):

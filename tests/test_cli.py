@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from confspace import braid, ratios
+from confspace import braid, cli, ratios
 from confspace.cli import run
 
 
@@ -120,6 +120,7 @@ def test_braid_equal_cap_admits_long_words(capsys):
      "--x", "1", "--y", "1"],
     ["gallery-verify", "--name", "ferrari", "--trials", "-5"],
     ["gallery-verify", "--name", "eisenstein", "--trials", "0"],
+    ["complex", "--n", "5", "--family", "cr", "--orbits", "-1"],
 ])
 def test_degenerate_inputs_refused(capsys, argv):
     assert run(argv) == 2
@@ -168,9 +169,32 @@ def test_disc_command(capsys):
     assert [t[0] for t in data["terms"]] == ["-1", "4"]
 
 
-def test_disc_capacity(capsys):
-    status, _ = capture(capsys, ["disc", "--n", "9", "--projective"])
-    assert status == 2
+def test_disc_capacity(capsys, monkeypatch):
+    def no_expansion(n):
+        raise AssertionError("discriminant expanded before the capacity "
+                             "check")
+
+    monkeypatch.setattr(cli, "discriminant_monic", no_expansion)
+    monkeypatch.setattr(cli, "discriminant_projective", no_expansion)
+    for argv in (["disc", "--n", "8"], ["disc", "--n", "9", "--projective"]):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "capped at n = 7" in captured.err
+
+
+def test_disc_cap_admits_seven(monkeypatch):
+    class Expanded(Exception):
+        pass
+
+    def expand(n):
+        raise Expanded
+
+    monkeypatch.setattr(cli, "discriminant_monic", expand)
+    monkeypatch.setattr(cli, "discriminant_projective", expand)
+    for argv in (["disc", "--n", "7"], ["disc", "--n", "7", "--projective"]):
+        with pytest.raises(Expanded):
+            run(argv)
 
 
 def test_braid_search_capacity(capsys):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import assume, example, given, settings, strategies as st
 
 from confspace.polyring import (
     BinaryForm,
@@ -15,7 +17,12 @@ from confspace.polyring import (
     resultant_int,
     sylvester_matrix,
 )
-from oracles import cofactor_det, eval_terms, poly_gcd_degree
+from oracles import (
+    cofactor_det,
+    eval_terms,
+    exact_divide_sorting,
+    poly_gcd_degree,
+)
 
 X, Y = MultiPoly.var("x"), MultiPoly.var("y")
 
@@ -264,6 +271,109 @@ def test_exact_division_roundtrip():
 def test_exact_division_rejects_inexact():
     with pytest.raises(ValueError):
         (X ** 2 + 1).exact_divide(X + 1)
+
+
+def test_exponents_must_be_non_negative_integers():
+    for bad in (-1, -2, 1.5, "2"):
+        with pytest.raises(ValueError):
+            MultiPoly({(("x", bad),): 1})
+        with pytest.raises(ValueError):
+            MultiPoly.var("x", bad)
+        with pytest.raises(ValueError):
+            MultiPoly.from_json_terms([["3", {"x": bad}]])
+    assert MultiPoly({(("x", 0), ("y", 2)): 3}) == 3 * Y ** 2
+    assert MultiPoly.from_json_terms([["3", {"x": 0}]]) == 3
+
+
+def _sympy_poly(expr, names):
+    gens = sympy.symbols(names)
+    return MultiPoly({tuple(zip(names, exps)): int(c)
+                      for exps, c in sympy.Poly(expr, *gens).terms()})
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_discriminants_match_sympy(n):
+    # sympy's discriminant is (-1)^(n(n-1)/2) times the determinant one
+    t = sympy.Symbol("t")
+    sign = (-1) ** (n * (n - 1) // 2)
+    ws = ["w%d" % i for i in range(1, n + 1)]
+    monic = t ** n + sum(sympy.Symbol(w) * t ** (n - i)
+                         for i, w in enumerate(ws, 1))
+    assert discriminant_monic(n) == sign * _sympy_poly(
+        sympy.discriminant(monic, t), ws)
+    zs = ["z%d" % i for i in range(n + 1)]
+    form = sum(sympy.Symbol(z) * t ** (n - i) for i, z in enumerate(zs))
+    assert discriminant_projective(n) == sign * _sympy_poly(
+        sympy.discriminant(form, t), zs)
+
+
+def test_monic_discriminant_degree_seven():
+    d = discriminant_monic(7)
+    assert len(d.terms) == 1103
+    for mono in d.terms:
+        assert sum(int(v[1:]) * e for v, e in mono) == 42
+    assert max(sum(e for _, e in mono) for mono in d.terms) == 12
+    rng = random.Random(61)
+    for _ in range(5):
+        ws = [rng.randint(-9, 9) for _ in range(7)]
+        point = {"w%d" % i: w for i, w in enumerate(ws, 1)}
+        assert poly_eval(d, point) == discriminant_int([1, *ws])
+
+
+_NAMES = ("x", "y", "z")
+
+
+@st.composite
+def _polys(draw, shift=st.sampled_from((0, 1, 5, 300))):
+    """Up to four terms of degree <= 3 in each variable, times a monomial
+    whose exponents may be large (the packed field widths grow with it)."""
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3),
+                                 st.integers(-9, 9).filter(bool),
+                                 min_size=1, max_size=4))
+    offset = draw(st.tuples(shift, shift, shift))
+    return MultiPoly({
+        tuple(zip(_NAMES, (e + s for e, s in zip(exps, offset)))): c
+        for exps, c in terms.items()})
+
+
+def _quotient_or_error(divide, f, g):
+    try:
+        return divide(f, g)
+    except ValueError:
+        return ValueError
+
+
+@settings(deadline=None)
+@given(_polys(), _polys())
+@example(MultiPoly.var("x", 300) * Y ** 5, X + Y)
+def test_exact_divide_matches_sorting_oracle(f, g):
+    assert (f * g).exact_divide(g) == f == exact_divide_sorting(f * g, g)
+
+
+@settings(deadline=None)
+@given(_polys(shift=st.sampled_from((0, 1))),
+       _polys(shift=st.sampled_from((0, 1))))
+def test_divide_random_pairs_like_sorting_oracle(f, g):
+    # mostly inexact: both divisions must then raise (small degrees keep
+    # the number of steps before the failing one small)
+    assert (_quotient_or_error(MultiPoly.exact_divide, f, g)
+            == _quotient_or_error(exact_divide_sorting, f, g))
+
+
+@settings(deadline=None)
+@given(_polys(), _polys(), _polys())
+def test_inexact_division_raises(q, g, r):
+    # f = q g + c m with m not divisible by the leading monomial of g: the
+    # division remainder of f is c m, not zero, so g does not divide f
+    assume(not g.is_constant())
+    v, e = g.sorted_terms()[0][0][0]
+    mono, c = r.sorted_terms()[0]
+    mono = dict(mono)
+    mono[v] = min(mono.get(v, 0), e - 1)
+    f = q * g + MultiPoly({tuple(mono.items()): c})
+    for divide in (MultiPoly.exact_divide, exact_divide_sorting):
+        with pytest.raises(ValueError):
+            divide(f, g)
 
 
 def test_binary_form_validation():

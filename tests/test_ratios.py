@@ -470,8 +470,9 @@ def test_orbit_decomposition_sizes_sum():
 
 
 def test_orbit_decomposition_dimension_guard():
-    with pytest.raises(ValueError):
-        orbit_decomposition(5, "cr", 4)
+    for m in (4, -1):
+        with pytest.raises(ValueError):
+            orbit_decomposition(5, "cr", m)
     with pytest.raises(ValueError):
         orbit_decomposition(5, "l", 1)
 
