@@ -5,6 +5,8 @@ maps, and the discriminant-power coverings, each with exact verification.
 Symbolic claims are checked in the polynomial ring; the one identity too
 heavy to expand directly (the degree-9 form discriminant) has an exact
 sampled mode and an exact lattice-evaluation mode that together certify it.
+The involution's action on roots is a polynomial identity too, checked in
+the ring and at sampled integer cubics; no check uses floating point.
 """
 
 from __future__ import annotations
@@ -681,21 +683,46 @@ def verify_identity(lhs, rhs, trials=20, rng=None):
 
 
 # ---------------------------------------------------------------------------
-# numeric action check for the fractional-linear involution
+# the action of the fractional-linear involution on roots
 # ---------------------------------------------------------------------------
 
 
-def tame_action_check(trials=20, rng=None, tol=1e-9):
-    """The fractional-linear map carries the roots of a cubic onto the
-    roots of its involution image (floating check, exact coefficients).
+def _tame_action_identity(z, w, disc):
+    """Whether (Cx - A)^3 phi((Ax + B)/(Cx - A)) == -disc * psi(x), with phi
+    the weighted cubic of z and psi that of its image w under y -> -y: the
+    map then carries the roots of phi onto those of psi.  The arguments are
+    all ints or all MultiPoly."""
+    z0, z1, z2, z3 = z
+    A = z1 * z2 - z0 * z3
+    B = 2 * (z2 ** 2 - z1 * z3)
+    C = 2 * (z0 * z2 - z1 ** 2)
+    phi = (z0, 3 * z1, 3 * z2, z3)
+    psi = (w[0], -3 * w[1], 3 * w[2], -w[3])
+    composed = [0, 0, 0, 0]
+    for i, c in enumerate(phi):
+        # c * (Ax + B)^(3-i) * (Cx - A)^i, coefficients descending in x
+        term = [c]
+        for p, q in [(A, B)] * (3 - i) + [(C, -A)] * i:
+            term = [a * p + b * q for a, b in zip(term + [0], [0] + term)]
+        composed = [s + t for s, t in zip(composed, term)]
+    return all(s == -disc * t for s, t in zip(composed, psi))
 
-    The image realized by the map is the Jacobian variant, which is the
+
+def tame_action_check(trials=20, rng=None):
+    """The fractional-linear map carries the roots of a cubic onto the
+    roots of its involution image, as an exact polynomial identity.
+
+    The identity is checked once in the polynomial ring and then by exact
+    integer evaluation at sampled cubics with non-zero discriminant and
+    leading coefficients; a failing sample is the witness.  The image
+    realized by the map is the Jacobian variant, which is the
     derivative-potential image composed with y -> -y; cayley_comparison
     certifies that relation symbolically.
     """
-    import numpy as np
-
     rng = rng or random.Random(7)
+    e = _HESSE_VARS
+    symbolic_ok = _tame_action_identity(e, eisenstein(e),
+                                        hesse_cubic_discriminant(e))
     done = 0
     attempts = 0
     while done < trials:
@@ -703,49 +730,19 @@ def tame_action_check(trials=20, rng=None, tol=1e-9):
         if attempts > 200 * trials:
             raise RuntimeError("could not draw enough nondegenerate samples")
         z = tuple(rng.randint(-9, 9) for _ in range(4))
-        dz = hesse_cubic_discriminant(
-            tuple(MultiPoly.const(v) for v in z)).constant_value()
-        scale = max(abs(v) for v in z) or 1
-        if abs(dz) < 1e-6 * scale ** 4:
+        dz = hesse_cubic_discriminant(z).constant_value()
+        if dz == 0:
             continue
         w = tuple(c.constant_value() for c in eisenstein(z))
-        phi = [z[0], 3 * z[1], 3 * z[2], z[3]]
-        psi = [w[0], -3 * w[1], 3 * w[2], -w[3]]
-        if phi[0] == 0 or psi[0] == 0:
+        # A^2 + BC = dz != 0, so the map sends a root of phi at A/C to
+        # infinity and the identity makes w[0] zero: skipping w[0] == 0 also
+        # keeps the denominator Cx - A off every root of phi
+        if z[0] == 0 or w[0] == 0:
             continue
-        roots = np.roots(phi)
-        images = np.roots(psi)
-        # the square-root normalization is a common factor of all entries
-        # and drops out of the action
-        A = z[1] * z[2] - z[0] * z[3]
-        B = 2 * (z[2] ** 2 - z[1] * z[3])
-        C = 2 * (z[0] * z[2] - z[1] ** 2)
-        mapped = []
-        degenerate = False
-        for root in roots:
-            denom = C * root - A
-            if abs(denom) < 1e-12:
-                degenerate = True
-                break
-            mapped.append((A * root + B) / denom)
-        if degenerate:
-            continue
-        targets = list(images)
-        ok = True
-        for value in mapped:
-            best = None
-            for i, t in enumerate(targets):
-                err = abs(value - t) / max(1.0, abs(t))
-                if best is None or err < best[1]:
-                    best = (i, err)
-            if best is None or best[1] > tol:
-                ok = False
-                break
-            targets.pop(best[0])
-        if not ok:
+        if not _tame_action_identity(z, w, dz):
             return {"pass": False, "trials": done + 1, "witness": list(z)}
         done += 1
-    return {"pass": True, "trials": trials, "witness": None}
+    return {"pass": symbolic_ok, "trials": trials, "witness": None}
 
 
 # ---------------------------------------------------------------------------

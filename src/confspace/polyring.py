@@ -1,7 +1,7 @@
 """Exact sparse multivariate polynomial arithmetic over the integers.
 
 Everything here is immutable and hashable, so values can be shared freely.
-Coefficients are Python ints; rationals (``BigRational``) enter only at
+Coefficients are Python ints; rationals (``Fraction``) enter only at
 evaluation points, never inside ring arithmetic.
 """
 
@@ -10,8 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-
-BigRational = Fraction
 
 # A monomial is a tuple of (variable, exponent) pairs, sorted by variable
 # name, with all exponents > 0.  The empty tuple is the constant monomial.

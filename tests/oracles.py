@@ -7,9 +7,11 @@ sequence, orbit representatives by exhaustive relabeling,
 homomorphism classes by Perm products, closures and pairwise conjugacy,
 conjugators by depth-first search, braid canonical forms by repeated
 sweeps over the whole factor list, ratio complexes by a pairwise
-divisibility scan.
+divisibility scan, the action of the fractional-linear involution by
+floating-point root matching.
 """
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -30,6 +32,7 @@ from confspace.braid import (
     check_relations,
     conjugacy_class_reps,
 )
+from confspace.morphisms import eisenstein, hesse_cubic_discriminant
 from confspace.polyring import MultiPoly
 from confspace.ratios import RatioVertex, cr_vertex, divides_oracle
 
@@ -401,3 +404,69 @@ def canonical_form_sweep(w):
     shift, factors = _normalize_factors(n, factors)
     inf += shift
     return CanonicalBraid(n, inf, factors)
+
+
+def tame_action_numeric(trials=20, rng=None, tol=1e-9):
+    """The fractional-linear map carries the roots of a cubic onto the
+    roots of its involution image: numpy roots matched within ``tol``.
+
+    Draws z as ``morphisms.tame_action_check`` does; the report also lists
+    the accepted z in order.
+    """
+    import numpy as np
+
+    rng = rng or random.Random(7)
+    done = 0
+    attempts = 0
+    accepted = []
+    while done < trials:
+        attempts += 1
+        if attempts > 200 * trials:
+            raise RuntimeError("could not draw enough nondegenerate samples")
+        z = tuple(rng.randint(-9, 9) for _ in range(4))
+        dz = hesse_cubic_discriminant(
+            tuple(MultiPoly.const(v) for v in z)).constant_value()
+        scale = max(abs(v) for v in z) or 1
+        if abs(dz) < 1e-6 * scale ** 4:
+            continue
+        w = tuple(c.constant_value() for c in eisenstein(z))
+        phi = [z[0], 3 * z[1], 3 * z[2], z[3]]
+        psi = [w[0], -3 * w[1], 3 * w[2], -w[3]]
+        if phi[0] == 0 or psi[0] == 0:
+            continue
+        roots = np.roots(phi)
+        images = np.roots(psi)
+        # the square-root normalization is a common factor of all entries
+        # and drops out of the action
+        A = z[1] * z[2] - z[0] * z[3]
+        B = 2 * (z[2] ** 2 - z[1] * z[3])
+        C = 2 * (z[0] * z[2] - z[1] ** 2)
+        mapped = []
+        degenerate = False
+        for root in roots:
+            denom = C * root - A
+            if abs(denom) < 1e-12:
+                degenerate = True
+                break
+            mapped.append((A * root + B) / denom)
+        if degenerate:
+            continue
+        accepted.append(z)
+        targets = list(images)
+        ok = True
+        for value in mapped:
+            best = None
+            for i, t in enumerate(targets):
+                err = abs(value - t) / max(1.0, abs(t))
+                if best is None or err < best[1]:
+                    best = (i, err)
+            if best is None or best[1] > tol:
+                ok = False
+                break
+            targets.pop(best[0])
+        if not ok:
+            return {"pass": False, "trials": done + 1, "witness": list(z),
+                    "accepted": accepted}
+        done += 1
+    return {"pass": True, "trials": trials, "witness": None,
+            "accepted": accepted}

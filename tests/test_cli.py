@@ -1,9 +1,10 @@
 import json
 import random
+import sys
 
 import pytest
 
-from confspace import braid, cli, ratios
+from confspace import braid, cli, morphisms, ratios
 from confspace.cli import run
 
 
@@ -219,6 +220,28 @@ def test_abc_command(capsys):
     assert data["counts"]["other"] == 0
 
 
+def test_abc_capacity_refuses_before_listing(capsys, monkeypatch):
+    class Listed(Exception):
+        pass
+
+    def no_listing(pairs, d):
+        raise Listed
+
+    monkeypatch.setattr(ratios.itertools, "combinations_with_replacement",
+                        no_listing)
+    # 2054360 triples; 1344904 and 2.9e10 products, far more triples
+    for n, bound in ((22, 1), (8, 6), (10, 10)):
+        assert run(["abc", "--n", str(n), "--bound", str(bound)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceed the supported 2000000" in captured.err
+        assert "abc --n 21 --bound 1" in captured.err
+    # 1543465 and 1521520 candidate triples are admitted
+    for n, bound in ((21, 1), (4, 4)):
+        with pytest.raises(Listed):
+            run(["abc", "--n", str(n), "--bound", str(bound)])
+
+
 def test_unknown_verb_exits_two(capsys):
     assert run(["definitely-not-a-verb"]) == 2
 
@@ -232,3 +255,31 @@ def test_large_integers_become_strings(capsys):
     assert status == 0
     data = json.loads(out)
     assert all(isinstance(t[0], str) for t in data["terms"])
+
+
+def test_tame_eisenstein_wrong_image_fails_with_witness(capsys, monkeypatch):
+    right = morphisms.eisenstein
+
+    def without_sign_pattern(z):
+        w = right(z)
+        return (w[0], -w[1], w[2], -w[3])
+
+    monkeypatch.setattr(morphisms, "eisenstein", without_sign_pattern)
+    status, out = capture(
+        capsys, ["gallery-verify", "--name", "tame-eisenstein"])
+    assert status == 1
+    data = json.loads(out)
+    assert data["pass"] is False
+    witness = data["witness"]
+    assert len(witness) == 4
+    assert all(isinstance(v, int) for v in witness)
+
+
+def test_tame_eisenstein_needs_no_numpy(capsys, monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    with pytest.raises(ImportError):
+        import numpy  # noqa: F401
+    status, out = capture(
+        capsys, ["gallery-verify", "--name", "tame-eisenstein"])
+    assert status == 0
+    assert json.loads(out)["pass"] is True

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from confspace import morphisms
 from confspace.polyring import (
     BinaryForm,
     MultiPoly,
@@ -39,6 +40,7 @@ from confspace.morphisms import (
     tame_eisenstein,
     verify_identity,
 )
+from oracles import tame_action_numeric
 
 Z = tuple(MultiPoly.var("z%d" % i) for i in range(4))
 
@@ -324,6 +326,67 @@ def test_tame_degenerate_rejected():
 def test_tame_action_on_roots():
     rep = tame_action_check(trials=20, rng=random.Random(11))
     assert rep["pass"]
+
+
+def _record_accepted(monkeypatch):
+    """The z at which tame_action_check evaluates its identity, in order."""
+    accepted = []
+    identity = morphisms._tame_action_identity
+
+    def recording(z, w, disc):
+        if isinstance(disc, int):
+            accepted.append(z)
+        return identity(z, w, disc)
+
+    monkeypatch.setattr(morphisms, "_tame_action_identity", recording)
+    return accepted
+
+
+def test_tame_action_accepts_like_numeric_oracle(monkeypatch):
+    exact = _record_accepted(monkeypatch)
+    for seed in range(20):
+        exact.clear()
+        rep = tame_action_check(trials=20, rng=random.Random(seed))
+        numeric = tame_action_numeric(trials=20, rng=random.Random(seed))
+        assert rep == {"pass": True, "trials": 20, "witness": None}
+        assert numeric["pass"]
+        assert exact == numeric["accepted"]
+        assert len(exact) == 20
+
+
+class _ScriptedDraws:
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def randint(self, low, high):
+        return next(self._values)
+
+
+def test_tame_action_skips_degenerate_samples(monkeypatch):
+    # zero discriminant, zero phi_0, zero psi_0, then a regular cubic; the
+    # identity holds at all four, so only the skip rules keep the first three
+    # out
+    draws = (-4, -4, 0, 0), (0, 1, 1, 1), (-3, -3, -2, 0), (1, 2, 3, 5)
+    exact = _record_accepted(monkeypatch)
+    flat = [v for z in draws for v in z]
+    rep = tame_action_check(trials=1, rng=_ScriptedDraws(flat))
+    numeric = tame_action_numeric(trials=1, rng=_ScriptedDraws(flat))
+    assert rep["pass"] and numeric["pass"]
+    assert exact == numeric["accepted"] == [(1, 2, 3, 5)]
+
+
+def test_tame_action_fails_on_symbolic_identity_alone(monkeypatch):
+    right = morphisms.eisenstein
+
+    def wrong_when_symbolic(z):
+        w = right(z)
+        if all(c.is_constant() for c in w):
+            return w
+        return (w[0], w[1], w[2], w[3] + MultiPoly.var("z0"))
+
+    monkeypatch.setattr(morphisms, "eisenstein", wrong_when_symbolic)
+    rep = tame_action_check(trials=5, rng=random.Random(0))
+    assert rep == {"pass": False, "trials": 5, "witness": None}
 
 
 # -- model maps and coverings ----------------------------------------------------
