@@ -15,6 +15,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .polyring import (
     BinaryForm,
@@ -410,6 +411,7 @@ def hesse_cubic_discriminant(z):
             - 6 * z0 * z1 * z2 * z3 + 4 * z0 * z2 ** 3 + 4 * z1 ** 3 * z3)
 
 
+@lru_cache(maxsize=None)
 def _eisenstein_generic():
     e0, e1, e2, e3 = _HESSE_VARS
     disc = hesse_cubic_discriminant((e0, e1, e2, e3))

@@ -5,8 +5,8 @@ Vertices are the rational functions (q_k-q_i)/(q_k-q_j) on three marks and
 another when their quotient is again such a function.  Pairwise divisors
 span simplices; the complexes here are the flag complexes of that relation,
 together with the symmetric-group action, orbit normal forms, the function
-catalogue on doubly punctured planes, and a brute-force search for
-three-term product identities.
+catalogue on doubly punctured planes, and an exhaustive, exactly pruned
+search for three-term product identities.
 
 A subtlety the pure-family complexes depend on: two simple ratios sharing
 both base marks but not the top mark (sr_ijk and sr_ijl) have a cross ratio
@@ -673,32 +673,109 @@ def _classify_triple(products):
     return "other"
 
 
-def verify_abc(n, degree_bound, capacity=2_000_000):
-    """Brute-force search for coprime three-term vanishing sums.
+def _three_point_values(products, n):
+    """The value of each product at the marks z_i = i, i^2 and i^3.
 
-    Enumerates unordered triples of distinct monic difference-products of
+    No two of the three points are affine images of one another: a
+    difference product is translation invariant and scales by t^d under
+    z -> t*z, so affinely related points would give proportional values."""
+    points = [[i ** k for i in range(n + 1)] for k in (1, 2, 3)]
+    values = []
+    for p in products:
+        row = []
+        for z in points:
+            v = 1
+            for a, b in p:
+                v *= z[a] - z[b]
+            row.append(v)
+        values.append(tuple(row))
+    return values
+
+
+def _abc_kernel(va, vb, vc):
+    """Scalars (a, b, c), all non-zero, with a*P + b*Q + c*R = 0, or None.
+
+    va, vb, vc map monomial indices to the coefficients of P, Q, R.  The
+    kernel is the cross product of the first two monomial rows, in index
+    order, that are not proportional, and it is checked on every row."""
+    rows = sorted(set(va) | set(vb) | set(vc))
+    triples = [(va.get(r, 0), vb.get(r, 0), vc.get(r, 0)) for r in rows]
+    kernel = None
+    for r1 in range(len(triples)):
+        for r2 in range(r1 + 1, len(triples)):
+            a1, b1, c1 = triples[r1]
+            a2, b2, c2 = triples[r2]
+            cross = (b1 * c2 - c1 * b2, c1 * a2 - a1 * c2,
+                     a1 * b2 - b1 * a2)
+            if any(cross):
+                kernel = cross
+                break
+        if kernel:
+            break
+    if kernel is None or not all(kernel):
+        return None
+    ka, kb, kc = kernel
+    if any(a * ka + b * kb + c * kc for a, b, c in triples):
+        return None
+    return kernel
+
+
+def verify_abc(n, degree_bound, capacity=2_000_000):
+    """Search for coprime three-term vanishing sums of difference products.
+
+    Over the unordered triples of distinct monic difference-products of
     total degree <= degree_bound that are pairwise coprime and not all
-    constant, solves a*P + b*Q + c*R = 0 exactly, and classifies every
-    solution family.  Passes when only the one- and two-factor patterns
-    occur.
+    constant, solves a*P + b*Q + c*R = 0 exactly with a, b, c all non-zero,
+    and classifies every solution.  Passes when only the one-factor
+    (simple) and two-factor (double) patterns occur.
+
+    Three exact prunes keep most triples from the solve, and none changes
+    which solutions are found or their (lexicographic) order:
+
+    - same degree: the products are homogeneous; if three degrees are not
+      all equal, one of them belongs to a single product, and the part of
+      the relation in that degree is that product times its scalar, so the
+      scalar is zero.  Only triples within one degree are listed (degree 0
+      holds the single empty product, so all-constant triples never are);
+    - coprime: each product carries a bitmask of its base pairs, and a
+      triple whose masks meet is skipped;
+    - three-point rank: a relation holds at every point, so the 3x3 matrix
+      of the three products' values at three fixed integer points has the
+      kernel (a, b, c) and is singular; a triple whose value determinant
+      (a cross product dotted with the third column) is non-zero is
+      rejected.
+
+    A triple is accepted only by the coefficient solve, in exact integers.
     """
     if n < 3:
         raise ValueError("need at least three variables")
     if degree_bound < 1:
         raise ValueError("degree bound must be at least 1")
-    base_pairs = list(itertools.combinations(range(1, n + 1), 2))
-    # products of at most degree_bound pairs, the empty one included
-    total = comb(len(base_pairs) + degree_bound, degree_bound)
+    # products of at most degree_bound pairs, the empty one included;
+    # counted before any pair is listed
+    total = comb(comb(n, 2) + degree_bound, degree_bound)
     n_triples = comb(total, 3)
     if n_triples > capacity:
         raise CapacityError(
             "%d candidate triples exceed the supported %d (the slowest "
             "accepted call, abc --n 21 --bound 1 with 1.54 M triples, takes "
-            "about 9 s)" % (n_triples, capacity))
+            "about 0.6 s)" % (n_triples, capacity))
+    base_pairs = list(itertools.combinations(range(1, n + 1), 2))
+    bit = {pair: 1 << i for i, pair in enumerate(base_pairs)}
     products = [()]
+    degree_ranges = []
     for d in range(1, degree_bound + 1):
+        start = len(products)
         products.extend(
             itertools.combinations_with_replacement(base_pairs, d))
+        degree_ranges.append(range(start, len(products)))
+    masks = []
+    for p in products:
+        mask = 0
+        for pair in p:
+            mask |= bit[pair]
+        masks.append(mask)
+    xs, ys, zs = zip(*_three_point_values(products, n))
     expanded = [_expand_product(p) for p in products]
     monos = sorted({m for p in expanded for m in p.terms})
     mono_index = {m: i for i, m in enumerate(monos)}
@@ -710,44 +787,35 @@ def verify_abc(n, degree_bound, capacity=2_000_000):
         vectors.append(vec)
     solutions = []
     counts = {"simple": 0, "double": 0, "other": 0}
-    for ia, ib, ic in itertools.combinations(range(total), 3):
-        pa, pb, pc = products[ia], products[ib], products[ic]
-        if not (pa or pb or pc):
-            continue
-        if set(pa) & set(pb) or set(pa) & set(pc) or set(pb) & set(pc):
-            continue
-        rows = sorted(set(vectors[ia]) | set(vectors[ib]) | set(vectors[ic]))
-        if len(rows) < 2:
-            continue
-        triples = [
-            (vectors[ia].get(r, 0), vectors[ib].get(r, 0),
-             vectors[ic].get(r, 0))
-            for r in rows
-        ]
-        kernel = None
-        for r1 in range(len(triples)):
-            for r2 in range(r1 + 1, len(triples)):
-                a1, b1, c1 = triples[r1]
-                a2, b2, c2 = triples[r2]
-                cross = (b1 * c2 - c1 * b2, c1 * a2 - a1 * c2,
-                         a1 * b2 - b1 * a2)
-                if any(cross):
-                    kernel = cross
-                    break
-            if kernel:
-                break
-        if kernel is None or not all(kernel):
-            continue
-        ka, kb, kc = kernel
-        if any(a * ka + b * kb + c * kc for a, b, c in triples):
-            continue
-        pattern = _classify_triple([pa, pb, pc])
-        counts[pattern] += 1
-        solutions.append({
-            "pattern": pattern,
-            "products": [list(map(list, p)) for p in (pa, pb, pc)],
-            "scalars": [ka, kb, kc],
-        })
+    for degree in degree_ranges:
+        hi = degree.stop
+        for ia in degree:
+            ma, xa, ya, za = masks[ia], xs[ia], ys[ia], zs[ia]
+            for ib in range(ia + 1, hi):
+                if masks[ib] & ma:
+                    continue
+                mab = ma | masks[ib]
+                xb, yb, zb = xs[ib], ys[ib], zs[ib]
+                # the cross product of the two value vectors
+                cx = ya * zb - za * yb
+                cy = za * xb - xa * zb
+                cz = xa * yb - ya * xb
+                for ic in [ic for ic in range(ib + 1, hi)
+                           if not masks[ic] & mab
+                           and not cx * xs[ic] + cy * ys[ic] + cz * zs[ic]]:
+                    kernel = _abc_kernel(vectors[ia], vectors[ib],
+                                         vectors[ic])
+                    if kernel is None:
+                        continue
+                    pa, pb, pc = products[ia], products[ib], products[ic]
+                    pattern = _classify_triple([pa, pb, pc])
+                    counts[pattern] += 1
+                    solutions.append({
+                        "pattern": pattern,
+                        "products": [list(map(list, p))
+                                     for p in (pa, pb, pc)],
+                        "scalars": list(kernel),
+                    })
     return {
         "n": n,
         "bound": degree_bound,

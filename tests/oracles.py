@@ -8,13 +8,15 @@ homomorphism classes by Perm products, closures and pairwise conjugacy,
 conjugators by depth-first search, braid canonical forms by repeated
 sweeps over the whole factor list, ratio complexes by a pairwise
 divisibility scan, the action of the fractional-linear involution by
-floating-point root matching.
+floating-point root matching, three-term product identities by solving
+every candidate triple.
 """
 
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, \
+    permutations
 from math import factorial
 
 import networkx
@@ -34,7 +36,13 @@ from confspace.braid import (
 )
 from confspace.morphisms import eisenstein, hesse_cubic_discriminant
 from confspace.polyring import MultiPoly
-from confspace.ratios import RatioVertex, cr_vertex, divides_oracle
+from confspace.ratios import (
+    RatioVertex,
+    _classify_triple,
+    _expand_product,
+    cr_vertex,
+    divides_oracle,
+)
 
 
 def cofactor_det(matrix):
@@ -470,3 +478,69 @@ def tame_action_numeric(trials=20, rng=None, tol=1e-9):
         done += 1
     return {"pass": True, "trials": trials, "witness": None,
             "accepted": accepted}
+
+
+def verify_abc_brute(n, degree_bound):
+    """``ratios.verify_abc`` without its prunes: every triple of products
+    of degree <= degree_bound, mixed degrees included, goes through the
+    coprimality test by set intersection and the coefficient solve."""
+    base_pairs = list(combinations(range(1, n + 1), 2))
+    products = [()]
+    for d in range(1, degree_bound + 1):
+        products.extend(combinations_with_replacement(base_pairs, d))
+    expanded = [_expand_product(p) for p in products]
+    monos = sorted({m for p in expanded for m in p.terms})
+    mono_index = {m: i for i, m in enumerate(monos)}
+    vectors = []
+    for p in expanded:
+        vec = {}
+        for mono, coeff in p.terms.items():
+            vec[mono_index[mono]] = coeff
+        vectors.append(vec)
+    solutions = []
+    counts = {"simple": 0, "double": 0, "other": 0}
+    for ia, ib, ic in combinations(range(len(products)), 3):
+        pa, pb, pc = products[ia], products[ib], products[ic]
+        if not (pa or pb or pc):
+            continue
+        if set(pa) & set(pb) or set(pa) & set(pc) or set(pb) & set(pc):
+            continue
+        rows = sorted(set(vectors[ia]) | set(vectors[ib]) | set(vectors[ic]))
+        if len(rows) < 2:
+            continue
+        triples = [
+            (vectors[ia].get(r, 0), vectors[ib].get(r, 0),
+             vectors[ic].get(r, 0))
+            for r in rows
+        ]
+        kernel = None
+        for r1 in range(len(triples)):
+            for r2 in range(r1 + 1, len(triples)):
+                a1, b1, c1 = triples[r1]
+                a2, b2, c2 = triples[r2]
+                cross = (b1 * c2 - c1 * b2, c1 * a2 - a1 * c2,
+                         a1 * b2 - b1 * a2)
+                if any(cross):
+                    kernel = cross
+                    break
+            if kernel:
+                break
+        if kernel is None or not all(kernel):
+            continue
+        ka, kb, kc = kernel
+        if any(a * ka + b * kb + c * kc for a, b, c in triples):
+            continue
+        pattern = _classify_triple([pa, pb, pc])
+        counts[pattern] += 1
+        solutions.append({
+            "pattern": pattern,
+            "products": [list(map(list, p)) for p in (pa, pb, pc)],
+            "scalars": [ka, kb, kc],
+        })
+    return {
+        "n": n,
+        "bound": degree_bound,
+        "counts": counts,
+        "solutions": solutions,
+        "pass": counts["other"] == 0 and counts["simple"] > 0,
+    }

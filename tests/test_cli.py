@@ -162,6 +162,23 @@ def test_gallery_verify_seeded_deterministic(capsys):
     assert o1 == o2
 
 
+@pytest.mark.parametrize("name", ["eisenstein", "cayley", "tame-eisenstein"])
+def test_eisenstein_cache_keeps_gallery_output(capsys, monkeypatch, name):
+    """The cached generic Eisenstein covariants give the same stdout as
+    covariants rebuilt on every call."""
+    cached = {}
+    for seed in range(4):
+        cached[seed] = capture(
+            capsys, ["gallery-verify", "--name", name, "--seed", str(seed)])
+    monkeypatch.setattr(morphisms, "_eisenstein_generic",
+                        morphisms._eisenstein_generic.__wrapped__)
+    for seed in range(4):
+        rebuilt = capture(
+            capsys, ["gallery-verify", "--name", name, "--seed", str(seed)])
+        assert rebuilt == cached[seed]
+        assert rebuilt[0] == 0
+
+
 def test_disc_command(capsys):
     status, out = capture(capsys, ["disc", "--n", "2"])
     assert status == 0
@@ -240,6 +257,19 @@ def test_abc_capacity_refuses_before_listing(capsys, monkeypatch):
     for n, bound in ((21, 1), (4, 4)):
         with pytest.raises(Listed):
             run(["abc", "--n", str(n), "--bound", str(bound)])
+
+
+def test_abc_capacity_refuses_before_pairing(capsys, monkeypatch):
+    """The cap is checked on counts alone: not even the base pairs are
+    listed, so a huge --n is refused at once."""
+    def no_pairs(marks, r):
+        raise AssertionError("base pairs listed before the capacity check")
+
+    monkeypatch.setattr(ratios.itertools, "combinations", no_pairs)
+    assert run(["abc", "--n", "100000", "--bound", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceed the supported 2000000" in captured.err
 
 
 def test_unknown_verb_exits_two(capsys):

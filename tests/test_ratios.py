@@ -1,16 +1,20 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import comb
 
 import networkx
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from confspace import homology
 from confspace.ratios import (
     CapacityError,
     DiffProduct,
     RatioVertex,
+    _expand_product,
+    _three_point_values,
     act,
     as_diff_product,
     build_complex,
@@ -33,7 +37,13 @@ from confspace.ratios import (
     sr_vertex,
     verify_abc,
 )
-from oracles import brute_orbit_key, divisibility_graph
+from oracles import (
+    brute_orbit_key,
+    cofactor_det,
+    divisibility_graph,
+    eval_terms,
+    verify_abc_brute,
+)
 
 
 def test_vertex_validation():
@@ -530,6 +540,108 @@ def test_abc_guards():
         verify_abc(4, 0)
     with pytest.raises(CapacityError):
         verify_abc(6, 4, capacity=1000)
+
+
+def _abc_triples(n, bound):
+    return comb(comb(comb(n, 2) + bound, bound), 3)
+
+
+# every (n, bound) with at most 150k candidate triples
+_ABC_SMALL = [(n, bound) for bound in range(1, 6) for n in range(3, 15)
+              if _abc_triples(n, bound) <= 150_000]
+
+
+@pytest.mark.parametrize("n,bound", _ABC_SMALL)
+def test_abc_matches_brute_search(n, bound):
+    assert json.dumps(verify_abc(n, bound)) == \
+        json.dumps(verify_abc_brute(n, bound))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_abc_bound_two_finds_simple_and_double_families(n):
+    rep = verify_abc(n, 2)
+    assert rep["pass"]
+    assert rep["counts"] == {"simple": comb(n, 3), "double": comb(n, 4),
+                             "other": 0}
+
+
+@pytest.mark.parametrize("n", [7, 21])
+def test_abc_bound_one_finds_every_triangle(n):
+    rep = verify_abc(n, 1)
+    assert rep["pass"]
+    assert rep["counts"]["simple"] == comb(n, 3)
+
+
+def test_abc_bound_four_adds_nothing_at_four_marks():
+    assert verify_abc(4, 4)["counts"] == verify_abc(4, 2)["counts"]
+
+
+def _rank(columns):
+    """Rank over Q of the coefficient matrix whose columns are polynomials."""
+    monos = sorted({m for p in columns for m in p.terms})
+    rows = [[Fraction(p.terms.get(m, 0)) for p in columns] for m in monos]
+    rank = 0
+    for col in range(len(columns)):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]),
+                     None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _has_full_kernel(polys):
+    """Whether a*P + b*Q + c*R = 0 has a solution with a, b, c all
+    non-zero: each column must lie in the span of the other two."""
+    full = _rank(polys)
+    return all(_rank(polys[:j] + polys[j + 1:]) == full for j in range(3))
+
+
+def _products(n, min_degree, max_degree):
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    return st.lists(st.sampled_from(pairs), min_size=min_degree,
+                    max_size=max_degree).map(lambda p: tuple(sorted(p)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(3, 5).flatmap(
+    lambda n: st.lists(_products(n, 0, 3), min_size=3, max_size=3)))
+def test_abc_mixed_degrees_have_no_full_kernel(triple):
+    assume(len({len(p) for p in triple}) > 1)
+    assert not _has_full_kernel([_expand_product(p) for p in triple])
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(3, 5).flatmap(
+    lambda n: st.integers(1, 3).flatmap(
+        lambda d: st.tuples(st.just(n), st.lists(
+            _products(n, d, d), min_size=3, max_size=3)))))
+def test_abc_nonsingular_values_leave_no_kernel(case):
+    n, triple = case
+    polys = [_expand_product(p) for p in triple]
+    values = _three_point_values(triple, n)
+    for k in (1, 2, 3):
+        point = {"z%d" % i: i ** k for i in range(1, n + 1)}
+        assert [v[k - 1] for v in values] == \
+            [eval_terms(p, point) for p in polys]
+    if cofactor_det([list(v) for v in values]):
+        assert _rank(polys) == 3
+
+
+def test_abc_accepted_triples_have_singular_values():
+    seen = 0
+    for n, bound in ((3, 3), (4, 2), (5, 2), (10, 1)):
+        for sol in verify_abc_brute(n, bound)["solutions"]:
+            triple = [tuple(map(tuple, p)) for p in sol["products"]]
+            assert cofactor_det(
+                [list(v) for v in _three_point_values(triple, n)]) == 0
+            seen += 1
+    assert seen > 100
 
 
 def test_punctured_values_omit_zero_and_one():
