@@ -40,7 +40,8 @@ def _emit(payload, status=0):
 
 # the complexes on n marks have about n^3 2^(n-3) simplices, and --orbits
 # normalises every one of a dimension; at this cap the slowest accepted call,
-# cr n = 9 --orbits 3, takes 2.5-3.0 s in-process (2 CPUs, Python 3.11.7)
+# cr n = 9 --homology --orbits 3, takes 0.6-0.8 s in-process (2 CPUs,
+# Python 3.11.7)
 _COMPLEX_MARK_LIMIT = 9
 
 
@@ -50,8 +51,8 @@ def _cmd_complex(args):
     if marks > _COMPLEX_MARK_LIMIT:
         raise ratios.CapacityError(
             "ratio complexes capped at %d marks (n, or n + 1 for family l; "
-            "the slowest accepted call, cr n = 9 --orbits 3, takes about "
-            "3 s), got %d" % (_COMPLEX_MARK_LIMIT, marks))
+            "the slowest accepted call, cr n = 9 --homology --orbits 3, takes "
+            "about 0.8 s), got %d" % (_COMPLEX_MARK_LIMIT, marks))
     c = ratios.build_complex(args.n, args.family)
     payload = c.to_json()
     payload["dim"] = ratios.complex_dimension(c)
@@ -141,7 +142,18 @@ def _cmd_braid_gallery(args):
     return _emit({"name": args.name, **_hom_payload(h)})
 
 
+# the sampled gallery checks take time linear in the trial count; at this
+# cap the slowest, feler9 and ferrari, take about 3.3 s in-process (2 CPUs,
+# Python 3.11.7)
+_TRIALS_LIMIT = 2000
+
+
 def _cmd_gallery_verify(args):
+    if args.trials > _TRIALS_LIMIT:
+        raise ratios.CapacityError(
+            "gallery-verify capped at %d trials (feler9 and ferrari, the "
+            "slowest, take about 3.3 s at the cap), got %d"
+            % (_TRIALS_LIMIT, args.trials))
     rng = random.Random(args.seed)
     check = morphisms.GALLERY_CHECKS[args.name]
     report = check(args.trials, rng, args.symbolic)

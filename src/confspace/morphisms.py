@@ -314,18 +314,24 @@ def _nine_form_int_coeffs(q):
     return mul(mul(factor(0, 1), factor(1, 2)), factor(2, 0))
 
 
+# the sampled identity checks draw integer coordinates uniformly from
+# [-_SAMPLE_BOUND, _SAMPLE_BOUND]
+_SAMPLE_BOUND = 10 ** 9
+
+
 def feler_nine_sampled(trials=20, rng=None):
     """Exact random-evaluation test of the degree-9 discriminant identity.
 
-    Points are drawn uniformly from [-10^9, 10^9]^3 with distinct
-    coordinates; per-trial failure chance for a wrong identity is at most
-    total degree / 2*10^9 by the standard zero-test bound (total degree
-    here is at most 240).
+    Points are drawn uniformly from [-_SAMPLE_BOUND, _SAMPLE_BOUND]^3 with
+    distinct coordinates; per-trial failure chance for a wrong identity is
+    at most total degree / (2*_SAMPLE_BOUND) by the standard zero-test bound
+    (total degree here is at most 240).
     """
     rng = rng or random.Random(0)
     for t in range(trials):
         while True:
-            q = tuple(rng.randint(-10 ** 9, 10 ** 9) for _ in range(3))
+            q = tuple(rng.randint(-_SAMPLE_BOUND, _SAMPLE_BOUND)
+                      for _ in range(3))
             if len(set(q)) == 3:
                 break
         lhs = discriminant_int(_nine_form_int_coeffs(q))
@@ -658,13 +664,13 @@ def covering_point(config, m):
 # ---------------------------------------------------------------------------
 
 
-def identity_report(lhs, rhs, trials=20, rng=None, bound=10 ** 9):
+def identity_report(lhs, rhs, trials=20, rng=None):
     """Exact check that two polynomials agree.
 
     Tries symbolic equality first; otherwise evaluates the difference at
-    uniform integer points of [-bound, bound].  With total degree D the
-    chance of a wrong identity surviving t trials is at most
-    (D / (2*bound))^t.
+    uniform integer points of [-_SAMPLE_BOUND, _SAMPLE_BOUND].  With total
+    degree D the chance of a wrong identity surviving t trials is at most
+    (D / (2*_SAMPLE_BOUND))^t.
     """
     if lhs == rhs:
         return {"pass": True, "mode": "symbolic", "trials": 0,
@@ -672,7 +678,8 @@ def identity_report(lhs, rhs, trials=20, rng=None, bound=10 ** 9):
     rng = rng or random.Random(0)
     names = sorted(set(lhs.variables()) | set(rhs.variables()))
     for t in range(trials):
-        point = {v: rng.randint(-bound, bound) for v in names}
+        point = {v: rng.randint(-_SAMPLE_BOUND, _SAMPLE_BOUND)
+                 for v in names}
         if lhs.evaluate(point) != rhs.evaluate(point):
             return {"pass": False, "mode": "sampled", "trials": t + 1,
                     "witness": point}

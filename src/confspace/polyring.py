@@ -577,11 +577,12 @@ class BinaryForm:
     def discriminant(self):
         return discriminant_of(self.coeffs)
 
-    def to_multipoly(self, x="x", y="y"):
+    def to_multipoly(self):
+        """The form as a polynomial in the variables "x" and "y"."""
         n = self.degree
         acc = MultiPoly.zero()
         for i, c in enumerate(self.coeffs):
-            acc = acc + c * MultiPoly.var(x, n - i) * MultiPoly.var(y, i)
+            acc = acc + c * MultiPoly.var("x", n - i) * MultiPoly.var("y", i)
         return acc
 
 

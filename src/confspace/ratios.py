@@ -240,17 +240,6 @@ def divides_rule(nu, mu):
     return sr.indices in _sr_divisors_of_cr(cr)
 
 
-def _pure_edge(nu, mu):
-    """Divisibility with the quotient confined to the vertex's own family."""
-    if nu.kind == SR and mu.kind == SR:
-        i1, j1, k1 = nu.indices
-        i2, j2, k2 = mu.indices
-        return k1 == k2 and ((i1 == i2) != (j1 == j2))
-    if nu.kind == CR and mu.kind == CR:
-        return divides_rule(nu, mu)
-    return False
-
-
 # ---------------------------------------------------------------------------
 # complexes
 # ---------------------------------------------------------------------------
@@ -388,10 +377,7 @@ class RatioComplex:
             "family": self.family,
             "vertices": [[v.kind, *v.indices] for v in self.vertices],
             "edges": [list(e) for e in self.divisibility_edges],
-            "maximal_simplices": [
-                [self._index[v] for v in s.vertices]
-                for s in self.maximal_simplices
-            ],
+            "maximal_simplices": [list(t) for t in self._tops],
         }
 
 
@@ -406,7 +392,7 @@ def build_complex(n, family):
 
 
 def complex_dimension(c):
-    return max(s.dimension for s in c.maximal_simplices)
+    return max(len(t) for t in c._tops) - 1
 
 
 def euler_characteristic(c):
@@ -460,18 +446,6 @@ def involution(v):
     return cr_vertex(j, i, k, l)
 
 
-def _is_pure_simplex(s):
-    kinds = {v.kind for v in s.vertices}
-    if len(kinds) != 1:
-        return None
-    vs = s.vertices
-    for a in range(len(vs)):
-        for b in range(a + 1, len(vs)):
-            if not _pure_edge(vs[a], vs[b]):
-                return None
-    return kinds.pop()
-
-
 def _complete_permutation(partial, n):
     """Extend a partial 1-based mapping to a permutation tuple of 1..n."""
     used = set(partial.values())
@@ -500,88 +474,60 @@ def delta_c(m):
 def normal_form(s, n=None):
     """Carry a pure simplex to its reference form.
 
-    Returns (sigma, canonical) with act(sigma, s) == canonical.  Mixed
-    input, or a set of same-family vertices that is not a simplex of the
-    pure complex, is rejected.
+    ``s`` is a Simplex or a tuple of its vertices.  A pure simplex is a
+    frame plus one odd mark per vertex: sr(x, j, k) over x has the frame
+    (k, j), sr(i, x, k) over x the frame (k, i), and cr(f1, f2, f3, x) over
+    x the frame (f1, f2, f3); a single vertex is read with its own frame.
+    sigma sends the frame to 1, 2, ... and the sorted odd marks to the next
+    marks up.  Returns (sigma, canonical) with act(sigma, s) == canonical.
+    Mixed input, or a set of same-family vertices that is not a simplex of
+    the pure complex, is rejected with ValueError.
     """
-    kind = _is_pure_simplex(s)
-    if kind is None:
-        raise ValueError("normal forms defined for pure families")
+    vertices = s.vertices if isinstance(s, Simplex) else tuple(s)
+    marks = frozenset().union(*(v.support for v in vertices))
+    top = max(marks)
     if n is None:
-        n = max(max(v.indices) for v in s.vertices)
-    m = s.dimension
-    if kind == SR:
-        if m == 0:
-            i, j, k = s.vertices[0].indices
-            sigma = _complete_permutation({i: 3, j: 2, k: 1}, n)
-            canonical = delta_s(0)
+        n = top
+    if n < top:
+        raise ValueError("simplex has marks beyond n = %d" % n)
+    first, last = vertices[0], vertices[-1]
+    m = len(vertices) - 1
+    if first.kind == SR:
+        i, j, k = first.indices
+        if j == last.indices[1]:
+            frame, canonical = (k, j), delta_s(m)
         else:
-            tops = {v.indices[2] for v in s.vertices}
-            firsts = {v.indices[0] for v in s.vertices}
-            k = tops.pop()
-            if len(firsts) == 1:
-                # common numerator: map the varying base marks upward
-                i = firsts.pop()
-                partial = {i: 2, k: 1}
-                js = sorted(v.indices[1] for v in s.vertices)
-                for t, j in enumerate(js):
-                    partial[j] = t + 3
-                sigma = _complete_permutation(partial, n)
-                canonical = delta_s(m, sign=-1)
-            else:
-                j = s.vertices[0].indices[1]
-                partial = {j: 2, k: 1}
-                tops_i = sorted(v.indices[0] for v in s.vertices)
-                for t, i in enumerate(tops_i):
-                    partial[i] = t + 3
-                sigma = _complete_permutation(partial, n)
-                canonical = delta_s(m)
+            frame, canonical = (k, i), delta_s(m, sign=-1)
     else:
-        if m == 0:
-            a, b, c, d = s.vertices[0].indices
-            sigma = _complete_permutation({a: 1, b: 2, c: 3, d: 4}, n)
-            canonical = delta_c(0)
-        else:
-            common = s.vertices[0].support
-            for v in s.vertices[1:]:
-                common &= v.support
-            if len(common) != 3:
-                raise ValueError("not a simplex of the pure complex")
-            frames = set()
-            odd = []
-            for v in s.vertices:
-                x = next(iter(v.support - common))
-                frames.add(_cr_slot4_frame(v.indices, x))
-                odd.append(x)
-            if len(frames) != 1:
-                raise ValueError("not a simplex of the pure complex")
-            f1, f2, f3 = frames.pop()
-            partial = {f1: 1, f2: 2, f3: 3}
-            for t, x in enumerate(sorted(odd)):
-                partial[x] = t + 4
-            sigma = _complete_permutation(partial, n)
-            canonical = delta_c(m)
-    # compared as vertices: relabelling keeps divisibility, so the pairwise
-    # re-check of act(sigma, s) could not fail
-    moved = sorted(_apply_perm_vertex(sigma, v) for v in s.vertices)
+        odd = min(first.support - last.support, default=first.indices[3])
+        frame, canonical = _cr_slot4_frame(first.indices, odd), delta_c(m)
+    order = frame + tuple(sorted(marks.difference(frame)))
+    sigma = _complete_permutation(
+        {x: t for t, x in enumerate(order, start=1)}, n)
+    # compared as vertices: relabelling keeps divisibility, so a match is a
+    # pure simplex, and the pairwise re-check of act(sigma, s) could not fail
+    moved = sorted(_apply_perm_vertex(sigma, v) for v in vertices)
     if tuple(moved) != canonical.vertices:
-        raise AssertionError("normalization failed for %r" % (s,))
+        raise ValueError("not a simplex of a pure complex")
     return sigma, canonical
 
 
 def orbit_decomposition(n, family, m):
-    """Representatives and sizes of the relabeling orbits of m-simplices."""
+    """Representatives and sizes of the relabeling orbits of m-simplices.
+
+    Faces are normalised as vertex tuples: each lies in a maximal simplex
+    that was checked pairwise when the complex was built, so no Simplex is
+    rebuilt."""
     if family not in (SR, CR):
         raise ValueError("orbit decomposition is defined for pure families")
     c = build_complex(n, family)
     dim = complex_dimension(c)
     if not 0 <= m <= dim:
         raise ValueError("no simplices of dimension %d (max %d)" % (m, dim))
-    by_dim = c.all_simplices_by_dim()
+    vs = c.vertices
     counts = {}
-    for idx_tuple in by_dim[m]:
-        s = make_simplex([c.vertices[i] for i in idx_tuple])
-        _, canonical = normal_form(s, n=n)
+    for face in c.all_simplices_by_dim()[m]:
+        _, canonical = normal_form(tuple(vs[i] for i in face), n)
         counts[canonical] = counts.get(canonical, 0) + 1
     return sorted(counts.items(), key=lambda kv: kv[0].vertices)
 

@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they validate: determinants by
 cofactor expansion, evaluation by direct term arithmetic, polynomial
 division by re-sorting the remainder at every step, gcds by a remainder
-sequence, orbit representatives by exhaustive relabeling,
+sequence, orbit representatives by exhaustive relabeling, normal forms
+case by case on pairwise-checked simplices,
 homomorphism classes by Perm products, closures and pairwise conjugacy,
 conjugators by depth-first search, braid canonical forms by repeated
 sweeps over the whole factor list, ratio complexes by a pairwise
@@ -39,9 +40,16 @@ from confspace.polyring import MultiPoly
 from confspace.ratios import (
     RatioVertex,
     _classify_triple,
+    _complete_permutation,
+    _cr_slot4_frame,
     _expand_product,
+    act,
+    build_complex,
     cr_vertex,
+    delta_c,
+    delta_s,
     divides_oracle,
+    make_simplex,
 )
 
 
@@ -138,6 +146,73 @@ def brute_orbit_key(simplex, n, act):
         if best is None or key < best:
             best = key
     return best
+
+
+def _pure_family(s):
+    """The family of a simplex of a pure complex, checked pair by pair, or
+    None: simple ratios need a common top mark and exactly one common base
+    mark, cross ratios the catalogue divisibility."""
+    kinds = {v.kind for v in s.vertices}
+    if len(kinds) != 1:
+        return None
+    for a, b in combinations(s.vertices, 2):
+        if a.kind == "sr":
+            (i1, j1, k1), (i2, j2, k2) = a.indices, b.indices
+            if k1 != k2 or (i1 == i2) == (j1 == j2):
+                return None
+        elif not divides_oracle(a, b):
+            return None
+    return kinds.pop()
+
+
+def normal_form_by_cases(s, n):
+    """Normal form of a pure simplex, case by case: simple or cross ratios,
+    one vertex or more.  Returns (sigma, canonical) like normal_form."""
+    kind = _pure_family(s)
+    if kind is None:
+        raise ValueError("not a simplex of a pure complex")
+    m = s.dimension
+    vs = s.vertices
+    if kind == "sr" and m == 0:
+        i, j, k = vs[0].indices
+        partial, canonical = {i: 3, j: 2, k: 1}, delta_s(0)
+    elif kind == "sr" and len({v.indices[0] for v in vs}) == 1:
+        # a common numerator: the varying denominators move upward
+        i, _, k = vs[0].indices
+        partial, canonical = {i: 2, k: 1}, delta_s(m, sign=-1)
+        partial.update((j, t) for t, j in
+                       enumerate(sorted(v.indices[1] for v in vs), start=3))
+    elif kind == "sr":
+        _, j, k = vs[0].indices
+        partial, canonical = {j: 2, k: 1}, delta_s(m)
+        partial.update((i, t) for t, i in
+                       enumerate(sorted(v.indices[0] for v in vs), start=3))
+    elif m == 0:
+        a, b, c, d = vs[0].indices
+        partial, canonical = {a: 1, b: 2, c: 3, d: 4}, delta_c(0)
+    else:
+        common = frozenset.intersection(*(v.support for v in vs))
+        odd = [next(iter(v.support - common)) for v in vs]
+        (frame,) = {_cr_slot4_frame(v.indices, x) for v, x in zip(vs, odd)}
+        partial = dict(zip(frame, (1, 2, 3)))
+        partial.update((x, t) for t, x in enumerate(sorted(odd), start=4))
+        canonical = delta_c(m)
+    sigma = _complete_permutation(partial, n)
+    if act(sigma, s) != canonical:
+        raise AssertionError("normalization failed for %r" % (s,))
+    return sigma, canonical
+
+
+def orbit_decomposition_by_simplices(n, family, m):
+    """orbit_decomposition with every face rebuilt as a pairwise-checked
+    Simplex and normalised by cases."""
+    c = build_complex(n, family)
+    counts = {}
+    for face in c.all_simplices_by_dim()[m]:
+        s = make_simplex([c.vertices[i] for i in face])
+        _, canonical = normal_form_by_cases(s, n)
+        counts[canonical] = counts.get(canonical, 0) + 1
+    return sorted(counts.items(), key=lambda kv: kv[0].vertices)
 
 
 @lru_cache(maxsize=None)

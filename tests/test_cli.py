@@ -179,6 +179,25 @@ def test_eisenstein_cache_keeps_gallery_output(capsys, monkeypatch, name):
         assert rebuilt[0] == 0
 
 
+def test_gallery_verify_trials_capacity(capsys, monkeypatch):
+    class Checked(Exception):
+        pass
+
+    def check(trials, rng, symbolic):
+        raise Checked
+
+    monkeypatch.setitem(morphisms.GALLERY_CHECKS, "feler9", check)
+    for trials in ("2001", "1000000000"):
+        assert run(["gallery-verify", "--name", "feler9",
+                    "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "capped at 2000 trials" in captured.err
+        assert "got %s" % trials in captured.err
+    with pytest.raises(Checked):
+        run(["gallery-verify", "--name", "feler9", "--trials", "2000"])
+
+
 def test_disc_command(capsys):
     status, out = capture(capsys, ["disc", "--n", "2"])
     assert status == 0

@@ -8,7 +8,7 @@ import networkx
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from confspace import homology
+from confspace import homology, ratios
 from confspace.ratios import (
     CapacityError,
     DiffProduct,
@@ -42,6 +42,7 @@ from oracles import (
     cofactor_det,
     divisibility_graph,
     eval_terms,
+    orbit_decomposition_by_simplices,
     verify_abc_brute,
 )
 
@@ -417,6 +418,13 @@ def test_normal_form_rejects_shared_base_pairs():
         normal_form(s)
 
 
+def test_normal_form_rejects_marks_beyond_n():
+    for s in (make_simplex([sr_vertex(1, 2, 5)]),
+              make_simplex([cr_vertex(1, 2, 3, 5), cr_vertex(1, 2, 3, 6)])):
+        with pytest.raises(ValueError):
+            normal_form(s, n=4)
+
+
 def test_normal_form_constant_on_orbits():
     rng = random.Random(37)
     pool = []
@@ -456,7 +464,7 @@ def test_normal_form_matches_brute_orbit_key():
 
 
 def test_orbit_decomposition_counts():
-    for n in (5, 6):
+    for n in (5, 6, 8, 9):
         for m in range(1, n - 2):
             dec = orbit_decomposition(n, "sr", m)
             assert len(dec) == 2
@@ -466,6 +474,78 @@ def test_orbit_decomposition_counts():
             assert len(dec) == 1
     assert len(orbit_decomposition(6, "sr", 0)) == 1
     assert len(orbit_decomposition(6, "cr", 0)) == 1
+
+
+def test_normal_form_of_single_vertices():
+    # a single vertex is read with its own frame
+    for n in (5, 6):
+        for family, reference in (("sr", delta_s(0)), ("cr", delta_c(0))):
+            for v in catalogue(n, family):
+                s = make_simplex([v])
+                sigma, canonical = normal_form(s, n=n)
+                assert canonical == reference
+                assert act(sigma, s) == canonical
+
+
+def test_orbit_decomposition_matches_validated_faces():
+    for family, marks in (("sr", range(3, 8)), ("cr", range(4, 8))):
+        for n in marks:
+            top = complex_dimension(build_complex(n, family))
+            for m in range(top + 1):
+                assert orbit_decomposition(n, family, m) == \
+                    orbit_decomposition_by_simplices(n, family, m)
+
+
+def test_orbit_decomposition_skips_face_checks(monkeypatch):
+    # every face lies in a maximal simplex checked when the complex was
+    # built.  The complexes are built here and handed to
+    # orbit_decomposition, so the test does not rest on the build_complex
+    # cache; the first pass builds the (cached) reference simplices.
+    n = 6
+    complexes = {family: ratios.RatioComplex(n, family)
+                 for family in ("sr", "cr")}
+    monkeypatch.setattr(ratios, "build_complex",
+                        lambda n_, family: complexes[family])
+    first = {}
+    for family, c in complexes.items():
+        for m in range(complex_dimension(c) + 1):
+            first[family, m] = orbit_decomposition(n, family, m)
+
+    def no_oracle(nu, mu):
+        raise AssertionError("divisibility re-checked after the build")
+
+    monkeypatch.setattr(ratios, "divides_oracle", no_oracle)
+    for (family, m), dec in first.items():
+        assert orbit_decomposition(n, family, m) == dec
+
+
+def test_orbit_decomposition_goes_through_normal_form(monkeypatch):
+    # one public normal_form call per face, as the per-layer trace expects
+    calls = []
+    original = ratios.normal_form
+
+    def counted(s, n=None):
+        calls.append(s)
+        return original(s, n)
+
+    monkeypatch.setattr(ratios, "normal_form", counted)
+    for family in ("sr", "cr"):
+        c = build_complex(6, family)
+        for m in range(complex_dimension(c) + 1):
+            calls.clear()
+            orbit_decomposition(6, family, m)
+            assert len(calls) == c.simplex_counts()[m]
+
+
+def test_normal_form_of_vertex_tuples():
+    for family in ("sr", "cr"):
+        c = build_complex(6, family)
+        for faces in c.all_simplices_by_dim():
+            for face in faces[::17]:
+                vs = tuple(c.vertices[i] for i in face)
+                assert normal_form(vs, n=6) == normal_form(make_simplex(vs), n=6)
+    with pytest.raises(ValueError):
+        normal_form((sr_vertex(3, 2, 1), cr_vertex(1, 2, 3, 4)), n=4)
 
 
 def test_orbit_decomposition_sizes_sum():
