@@ -143,16 +143,16 @@ def _cmd_braid_gallery(args):
 
 
 # the sampled gallery checks take time linear in the trial count; at this
-# cap the slowest, feler9 and ferrari, take about 3.3 s in-process (2 CPUs,
-# Python 3.11.7)
+# cap the slowest, ferrari, takes about 3.5 s for one CLI call and feler9
+# about 0.3 s (2 CPUs, Python 3.11.7)
 _TRIALS_LIMIT = 2000
 
 
 def _cmd_gallery_verify(args):
     if args.trials > _TRIALS_LIMIT:
         raise ratios.CapacityError(
-            "gallery-verify capped at %d trials (feler9 and ferrari, the "
-            "slowest, take about 3.3 s at the cap), got %d"
+            "gallery-verify capped at %d trials (ferrari, the slowest, "
+            "takes about 3.5 s at the cap), got %d"
             % (_TRIALS_LIMIT, args.trials))
     rng = random.Random(args.seed)
     check = morphisms.GALLERY_CHECKS[args.name]

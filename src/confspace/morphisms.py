@@ -20,7 +20,8 @@ from functools import lru_cache
 from .polyring import (
     BinaryForm,
     MultiPoly,
-    discriminant_int,
+    cubic_discriminant,
+    cubic_resultant,
     discriminant_monic,
     discriminant_of,
     resultant,
@@ -294,24 +295,22 @@ def feler_nine_rhs_value(q):
     return FELER_NINE_CONSTANT * delta ** 56
 
 
-def _nine_form_int_coeffs(q):
-    """Integer coefficients of the degree-9 form at an integer point."""
+def _nine_factors_int(q):
+    """The three integer cubic factors of the degree-9 form at a point."""
     q1, q2, q3 = q
-    cubes = [[1, -3 * t, 3 * t * t, -t ** 3] for t in (q1, q2, q3)]
+    cubes = [(1, -3 * t, 3 * t * t, -t ** 3) for t in q]
     w = [(q2 - q3) ** 2, (q3 - q1) ** 2, (q1 - q2) ** 2]
+    return [[w[a] * x - w[b] * y for x, y in zip(cubes[a], cubes[b])]
+            for a, b in ((0, 1), (1, 2), (2, 0))]
 
-    def factor(a, b):
-        return [w[a] * x - w[b] * y for x, y in zip(cubes[a], cubes[b])]
 
-    def mul(p, r):
-        out = [0] * (len(p) + len(r) - 1)
-        for i, x in enumerate(p):
-            if x:
-                for j, y in enumerate(r):
-                    out[i + j] += x * y
-        return out
-
-    return mul(mul(factor(0, 1), factor(1, 2)), factor(2, 0))
+def _nine_disc_int(q):
+    """discriminant_int of the degree-9 form f1 f2 f3 at an integer point,
+    as disc(f1) disc(f2) disc(f3) (res(f1, f2) res(f2, f3) res(f3, f1))^2."""
+    f1, f2, f3 = _nine_factors_int(q)
+    return (cubic_discriminant(f1) * cubic_discriminant(f2)
+            * cubic_discriminant(f3) * (cubic_resultant(f1, f2)
+            * cubic_resultant(f2, f3) * cubic_resultant(f3, f1)) ** 2)
 
 
 # the sampled identity checks draw integer coordinates uniformly from
@@ -325,7 +324,11 @@ def feler_nine_sampled(trials=20, rng=None):
     Points are drawn uniformly from [-_SAMPLE_BOUND, _SAMPLE_BOUND]^3 with
     distinct coordinates; per-trial failure chance for a wrong identity is
     at most total degree / (2*_SAMPLE_BOUND) by the standard zero-test bound
-    (total degree here is at most 240).
+    (total degree here is at most 240).  The left-hand side at a point is
+    discriminant_int of the form, which at n = 9 is the standard
+    discriminant of f1 f2 f3: the product of the standard (closed-form)
+    discriminants of the cubic factors and their squared resultants, whose
+    signs cancel in the squares.
     """
     rng = rng or random.Random(0)
     for t in range(trials):
@@ -334,8 +337,7 @@ def feler_nine_sampled(trials=20, rng=None):
                       for _ in range(3))
             if len(set(q)) == 3:
                 break
-        lhs = discriminant_int(_nine_form_int_coeffs(q))
-        if lhs != feler_nine_rhs_value(q):
+        if _nine_disc_int(q) != feler_nine_rhs_value(q):
             return {"pass": False, "trials": t + 1, "witness": list(q)}
     return {"pass": True, "trials": trials, "witness": None}
 
@@ -364,7 +366,11 @@ def feler_nine_symbolic():
     homogeneous of the same degree.  A degree-168 homogeneous polynomial
     vanishes identically iff it vanishes at every point of the principal
     lattice a+b <= 168 in the plane q3 = 1, so exact integer evaluation on
-    that lattice (halved by the symmetry) decides the identity.
+    that lattice (halved by the symmetry) decides the identity.  Each
+    point's discriminant_int, +1 times the standard discriminant at n = 9,
+    is the product of the standard cubic discriminants of f1, f2, f3 and
+    their squared pairwise resultants (any resultant sign cancels), exact
+    at formal degree 3 where a leading coefficient vanishes.
     """
     form = feler_nine_form()
     for i, c in enumerate(form.coeffs):
@@ -388,16 +394,10 @@ def feler_nine_symbolic():
     for a in range(0, degree + 1):
         for b in range(a, degree + 1 - a):
             q = (a, b, 1)
-            if len(set(q)) < 3:
-                # collapsing points make both sides zero; verify cheaply
-                if discriminant_int(_nine_form_int_coeffs(q)) != 0:
-                    return {"pass": False, "stage": "lattice",
-                            "witness": list(q)}
-                continue
-            lhs = discriminant_int(_nine_form_int_coeffs(q))
-            if lhs != feler_nine_rhs_value(q):
+            # at collapsing points both sides are zero and go uncounted
+            if _nine_disc_int(q) != feler_nine_rhs_value(q):
                 return {"pass": False, "stage": "lattice", "witness": list(q)}
-            checked += 1
+            checked += len(set(q)) == 3
     return {"pass": True, "stage": "lattice", "points": checked}
 
 

@@ -745,6 +745,34 @@ def resultant_int(f, g):
             return s * _exact_quotient(b[0] ** da, h ** (da - 1))
 
 
+def cubic_discriminant(f):
+    """Standard discriminant of the binary cubic f = [a, b, c, d].
+
+    Closed form at formal degree 3, a = 0 included; it is
+    -discriminant_int(f), since the determinant convention carries
+    (-1)^(n(n-1)/2).
+    """
+    a, b, c, d = f
+    return (b * b * c * c - 4 * a * c ** 3 - 4 * b ** 3 * d
+            - 27 * a * a * d * d + 18 * a * b * c * d)
+
+
+def cubic_resultant(f, g):
+    """Sylvester resultant of two binary cubics, leading coefficient first.
+
+    Minus the 3x3 Bezout determinant in the brackets [ij] = f_i g_j - f_j g_i;
+    equal to bareiss_det(sylvester_matrix(f, g)) at formal degree 3, also
+    where a leading coefficient vanishes.
+    """
+    a0, a1, a2, a3 = f
+    b0, b1, b2, b3 = g
+    p01, p02, p03 = a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0
+    p12, p13, p23 = a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
+    mid = p03 + p12
+    return -(p01 * (mid * p23 - p13 * p13) - p02 * (p02 * p23 - p13 * p03)
+             + p03 * (p02 * p13 - mid * p03))
+
+
 def _exact_quotient(a, b):
     """a / b for a division the subresultant theory says is exact."""
     q, r = divmod(a, b)

@@ -10,7 +10,8 @@ conjugators by depth-first search, braid canonical forms by repeated
 sweeps over the whole factor list, ratio complexes by a pairwise
 divisibility scan, the action of the fractional-linear involution by
 floating-point root matching, three-term product identities by solving
-every candidate triple.
+every candidate triple, the degree-9 form discriminant by expanding the
+form and running the degree-9 subresultant sequence.
 """
 
 import random
@@ -35,8 +36,13 @@ from confspace.braid import (
     check_relations,
     conjugacy_class_reps,
 )
-from confspace.morphisms import eisenstein, hesse_cubic_discriminant
-from confspace.polyring import MultiPoly
+from confspace.morphisms import (
+    _SAMPLE_BOUND,
+    eisenstein,
+    feler_nine_rhs_value,
+    hesse_cubic_discriminant,
+)
+from confspace.polyring import MultiPoly, discriminant_int
 from confspace.ratios import (
     RatioVertex,
     _classify_triple,
@@ -553,6 +559,46 @@ def tame_action_numeric(trials=20, rng=None, tol=1e-9):
         done += 1
     return {"pass": True, "trials": trials, "witness": None,
             "accepted": accepted}
+
+
+def _nine_form_int_coeffs(q):
+    """Integer coefficients of the degree-9 form at an integer point."""
+    q1, q2, q3 = q
+    cubes = [[1, -3 * t, 3 * t * t, -t ** 3] for t in (q1, q2, q3)]
+    w = [(q2 - q3) ** 2, (q3 - q1) ** 2, (q1 - q2) ** 2]
+
+    def factor(a, b):
+        return [w[a] * x - w[b] * y for x, y in zip(cubes[a], cubes[b])]
+
+    def mul(p, r):
+        out = [0] * (len(p) + len(r) - 1)
+        for i, x in enumerate(p):
+            if x:
+                for j, y in enumerate(r):
+                    out[i + j] += x * y
+        return out
+
+    return mul(mul(factor(0, 1), factor(1, 2)), factor(2, 0))
+
+
+def nine_form_disc_expanded(q):
+    """The degree-9 form discriminant at q from its nine coefficients."""
+    return discriminant_int(_nine_form_int_coeffs(q))
+
+
+def feler_nine_sampled_expanded(trials=20, rng=None):
+    """``morphisms.feler_nine_sampled`` on the expanded route: the same
+    draws, each left-hand side from ``nine_form_disc_expanded``."""
+    rng = rng or random.Random(0)
+    for t in range(trials):
+        while True:
+            q = tuple(rng.randint(-_SAMPLE_BOUND, _SAMPLE_BOUND)
+                      for _ in range(3))
+            if len(set(q)) == 3:
+                break
+        if nine_form_disc_expanded(q) != feler_nine_rhs_value(q):
+            return {"pass": False, "trials": t + 1, "witness": list(q)}
+    return {"pass": True, "trials": trials, "witness": None}
 
 
 def verify_abc_brute(n, degree_bound):

@@ -6,6 +6,7 @@ import pytest
 
 from confspace import braid, cli, morphisms, ratios
 from confspace.cli import run
+from oracles import feler_nine_sampled_expanded
 
 
 def capture(capsys, argv):
@@ -160,6 +161,24 @@ def test_gallery_verify_seeded_deterministic(capsys):
     s2, o2 = capture(capsys, args)
     assert s1 == s2 == 0
     assert o1 == o2
+
+
+def test_feler9_symbolic_stdout(capsys):
+    status, out = capture(
+        capsys, ["gallery-verify", "--name", "feler9", "--symbolic"])
+    assert status == 0
+    assert out == ('{"name": "feler9", "mode": "symbolic", "trials": 6973, '
+                   '"pass": true}\n')
+
+
+def test_feler9_sampled_stdout_matches_expanded_oracle(capsys):
+    status, out = capture(capsys, ["gallery-verify", "--name", "feler9",
+                                   "--trials", "2000", "--seed", "1"])
+    rep = feler_nine_sampled_expanded(2000, random.Random(1))
+    report = morphisms._report(rep["pass"], "sampled", rep["trials"],
+                               rep["witness"])
+    assert status == 0
+    assert out == json.dumps({"name": "feler9", **report}) + "\n"
 
 
 @pytest.mark.parametrize("name", ["eisenstein", "cayley", "tame-eisenstein"])

@@ -40,7 +40,11 @@ from confspace.morphisms import (
     tame_eisenstein,
     verify_identity,
 )
-from oracles import tame_action_numeric
+from oracles import (
+    _nine_form_int_coeffs,
+    nine_form_disc_expanded,
+    tame_action_numeric,
+)
 
 Z = tuple(MultiPoly.var("z%d" % i) for i in range(4))
 
@@ -200,7 +204,6 @@ def test_nine_form_shape():
 def test_nine_form_at_sample_point_has_simple_disjoint_roots():
     from confspace.polyring import resultant_int
     q = (0, 1, 2)
-    from confspace.morphisms import _nine_form_int_coeffs
     c = _nine_form_int_coeffs(q)
     assert discriminant_int(c) != 0  # nine distinct projective roots
     p3 = [1, -3, 2, 0]  # (t)(t-1)(t-2)
@@ -216,7 +219,6 @@ def test_nine_form_constant_sign_verified():
     # exact evaluation pins the constant, including its sign
     assert FELER_NINE_CONSTANT == -(3 ** 27)
     q = (0, 1, 3)
-    from confspace.morphisms import _nine_form_int_coeffs
     val = discriminant_int(_nine_form_int_coeffs(q))
     delta = (q[0] - q[1]) * (q[1] - q[2]) * (q[2] - q[0])
     assert val == FELER_NINE_CONSTANT * delta ** 56
@@ -227,6 +229,41 @@ def test_nine_form_discriminant_symbolic_certificate():
     rep = feler_nine_symbolic()
     assert rep["pass"]
     assert rep["points"] > 6000
+
+
+def test_nine_disc_matches_expanded_oracle_on_lattice():
+    # every principal-lattice point of the certificate, collisions and
+    # vanishing leading coefficients included
+    points = [(a, b, 1) for a in range(169) for b in range(a, 169 - a)]
+    assert len(points) == 7225
+    for q in points:
+        assert morphisms._nine_disc_int(q) == nine_form_disc_expanded(q), q
+
+
+def test_nine_disc_matches_expanded_oracle_at_large_points():
+    rng = random.Random(11)
+    bound = morphisms._SAMPLE_BOUND
+    for _ in range(200):
+        q = tuple(rng.randint(-bound, bound) for _ in range(3))
+        assert morphisms._nine_disc_int(q) == nine_form_disc_expanded(q), q
+
+
+def test_nine_factors_multiply_to_the_symbolic_form():
+    # ties the symbolic stage checks, made on feler_nine_form, to the
+    # integer factors the lattice and sampled checks evaluate
+    form = feler_nine_form()
+    rng = random.Random(13)
+    for q in [(0, 1, 2), (5, 5, -3)] + [
+            tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in range(3))
+            for _ in range(10)]:
+        point = dict(zip(("q1", "q2", "q3"), q))
+        f1, f2, f3 = morphisms._nine_factors_int(q)
+        product = [0] * 10
+        for i, x in enumerate(f1):
+            for j, y in enumerate(f2):
+                for k, z in enumerate(f3):
+                    product[i + j + k] += x * y * z
+        assert product == [poly_eval(c, point) for c in form.coeffs]
 
 
 # -- the cubic involution ------------------------------------------------------

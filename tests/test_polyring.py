@@ -9,6 +9,8 @@ from confspace.polyring import (
     BinaryForm,
     MultiPoly,
     bareiss_det,
+    cubic_discriminant,
+    cubic_resultant,
     discriminant_int,
     discriminant_monic,
     discriminant_projective,
@@ -244,6 +246,45 @@ def test_discriminant_int_matches_symbolic():
         D = discriminant_projective(n)
         point = {"z%d" % i: coeffs[i] for i in range(n + 1)}
         assert discriminant_int(coeffs) == poly_eval(D, point)
+
+
+# integer cubics, leading coefficient first; hypothesis draws 0 often, so
+# vanishing leading and trailing coefficients are well covered
+_cubics = st.lists(st.integers(-10 ** 6, 10 ** 6) | st.integers(-3, 3),
+                   min_size=4, max_size=4)
+
+
+@settings(deadline=None)
+@given(_cubics, _cubics)
+@example([0, 2, -1, 5], [3, 0, 1, 0])
+@example([0, 0, 1, 1], [0, 1, 0, -2])
+@example([1, -3, 3, -1], [0, 0, 0, 0])
+def test_cubic_closed_forms_match_determinants(f, g):
+    # the discriminant closed form is the standard one, (-1)^3 times the
+    # determinant convention; the resultant is the Sylvester determinant at
+    # formal degree 3, leading zeros included
+    assert cubic_discriminant(f) == -discriminant_int(f)
+    assert cubic_resultant(f, g) == bareiss_det(sylvester_matrix(f, g))
+
+
+def test_cubic_product_route_matches_expanded_discriminant():
+    # discriminant_int at degree 9 carries (-1)^36 = +1, so it equals the
+    # standard discriminant of the product: the standard cubic
+    # discriminants times the squared resultants
+    rng = random.Random(71)
+    for trial in range(60):
+        fs = [[rng.randint(-20, 20) for _ in range(4)] for _ in range(3)]
+        for f in fs[:trial % 4]:
+            f[0] = 0
+        fs = [f if any(f) else [1, 0, 0, 0] for f in fs]
+        f1, f2, f3 = fs
+        form = BinaryForm(3, f1).multiply(BinaryForm(3, f2)).multiply(
+            BinaryForm(3, f3))
+        product = [c.constant_value() for c in form.coeffs]
+        route = (cubic_discriminant(f1) * cubic_discriminant(f2)
+                 * cubic_discriminant(f3) * (cubic_resultant(f1, f2)
+                 * cubic_resultant(f2, f3) * cubic_resultant(f3, f1)) ** 2)
+        assert route == discriminant_int(product)
 
 
 def test_squarefree_detection_against_gcd():
