@@ -12,10 +12,9 @@ Permutations multiply left-to-right: (p * q) means "apply p, then q".
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import factorial, lcm
 
-from .ratios import CapacityError
+from . import CapacityError
 
 
 # ---------------------------------------------------------------------------
@@ -86,17 +85,37 @@ def _word_image(gens, letters, k):
     return p
 
 
-@dataclass(frozen=True, init=False, repr=False)
+def _frozen(self, name, value):
+    raise AttributeError("cannot assign to field %r" % name)
+
+
+def _undeletable(self, name):
+    raise AttributeError("cannot delete field %r" % name)
+
+
 class Perm:
     """A permutation of 1..k in one-line image notation (``images``)."""
 
-    _t: tuple  # the 0-based image tuple of the kernel
+    __slots__ = ("_t",)  # the 0-based image tuple of the kernel
+    __setattr__ = _frozen
+    __delattr__ = _undeletable
 
     def __init__(self, images):
         k = len(images)
         if sorted(images) != list(range(1, k + 1)):
             raise ValueError("not a bijection of 1..%d" % k)
         object.__setattr__(self, "_t", tuple(v - 1 for v in images))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._t == other._t
+
+    def __hash__(self):
+        return hash((self._t,))
+
+    def __reduce__(self):
+        return Perm, (self.images,)
 
     @property
     def images(self):
@@ -197,18 +216,36 @@ def _partitions(k, largest=None):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class BraidWord:
-    n: int
-    letters: tuple
+    """A word in the generators of the braid group on ``n`` strands."""
 
-    def __post_init__(self):
-        if self.n < 2:
+    __slots__ = ("n", "letters")
+    __setattr__ = _frozen
+    __delattr__ = _undeletable
+
+    def __init__(self, n, letters):
+        if n < 2:
             raise ValueError("need at least two strands")
-        for g in self.letters:
-            if g == 0 or abs(g) > self.n - 1:
+        for g in letters:
+            if g == 0 or abs(g) > n - 1:
                 raise ValueError("letter %r out of range for %d strands"
-                                 % (g, self.n))
+                                 % (g, n))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "letters", letters)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.letters) == (other.n, other.letters)
+
+    def __hash__(self):
+        return hash((self.n, self.letters))
+
+    def __reduce__(self):
+        return BraidWord, (self.n, self.letters)
+
+    def __repr__(self):
+        return "BraidWord(n=%r, letters=%r)" % (self.n, self.letters)
 
     @classmethod
     def parse(cls, n, text):
@@ -384,22 +421,43 @@ ARTIN = "artin"
 SPHERE = "sphere"
 
 
-@dataclass(frozen=True)
 class SymHom:
-    """A homomorphism from the n-strand group to S(k), by generator images."""
+    """A homomorphism from the n-strand group to S(k), by generator images
+    (``images`` holds those of generators 1..n-1)."""
 
-    n: int
-    k: int
-    images: tuple  # images of generators 1..n-1
-    presentation: str = ARTIN
+    __slots__ = ("n", "k", "images", "presentation")
+    __setattr__ = _frozen
+    __delattr__ = _undeletable
 
-    def __post_init__(self):
-        if self.n < 2 or self.k < 1:
+    def __init__(self, n, k, images, presentation=ARTIN):
+        if n < 2 or k < 1:
             raise ValueError("need n >= 2 strands and degree k >= 1, got "
-                             "n = %d, k = %d" % (self.n, self.k))
-        bad = check_relations(self.images, self.n, self.k, self.presentation)
+                             "n = %d, k = %d" % (n, k))
+        bad = check_relations(images, n, k, presentation)
         if bad is not None:
             raise ValueError("defining relation violated: %s" % (bad,))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "presentation", presentation)
+
+    def _fields(self):
+        return (self.n, self.k, self.images, self.presentation)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return SymHom, self._fields()
+
+    def __repr__(self):
+        return "SymHom(n=%r, k=%r, images=%r, presentation=%r)" % \
+            self._fields()
 
     def apply(self, w):
         if w.n != self.n:
@@ -671,10 +729,12 @@ def search_homs(n, k, include_cyclic=True):
     first one seen represents its class, and properties are computed once
     per class.  Classes come back deterministically sorted and labeled.
     """
+    # n = k = 8, the slowest case, takes about 5 s for one CLI call (median
+    # of 5, 4.0-5.0 s; 2 CPUs, Python 3.11.7)
     if k > 8:
         raise CapacityError(
             "exhaustive search supported for k <= 8, the measured budget "
-            "(the slowest case measured, n = k = 8, takes about 7 s)")
+            "(the slowest case measured, n = k = 8, takes about 5 s)")
     if n < 3:
         raise ValueError("need at least three strands")
     classes = {}

@@ -8,12 +8,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from fractions import Fraction
 
-from . import braid, morphisms, ratios
-from .polyring import discriminant_monic, discriminant_projective
+from . import CapacityError
 
 _SAFE = 1 << 53
 
@@ -40,19 +38,21 @@ def _emit(payload, status=0):
 
 # the complexes on n marks have about n^3 2^(n-3) simplices, and --orbits
 # normalises every one of a dimension; at this cap the slowest accepted call,
-# cr n = 9 --homology --orbits 3, takes 0.6-0.8 s in-process (2 CPUs,
-# Python 3.11.7)
+# cr n = 9 --homology --orbits 3, takes about 0.9 s for one CLI call (median
+# of 5, 0.7-1.0 s; 2 CPUs, Python 3.11.7)
 _COMPLEX_MARK_LIMIT = 9
 
 
 def _cmd_complex(args):
+    from . import ratios
+
     # family l on n marks is built as cr(n + 1)
     marks = args.n + 1 if args.family == "l" else args.n
     if marks > _COMPLEX_MARK_LIMIT:
-        raise ratios.CapacityError(
+        raise CapacityError(
             "ratio complexes capped at %d marks (n, or n + 1 for family l; "
             "the slowest accepted call, cr n = 9 --homology --orbits 3, takes "
-            "about 0.8 s), got %d" % (_COMPLEX_MARK_LIMIT, marks))
+            "about 0.9 s), got %d" % (_COMPLEX_MARK_LIMIT, marks))
     c = ratios.build_complex(args.n, args.family)
     payload = c.to_json()
     payload["dim"] = ratios.complex_dimension(c)
@@ -81,12 +81,14 @@ _WORD_WORK_LIMIT = 10 ** 7
 
 
 def _cmd_braid_equal(args):
+    from . import braid
+
     lhs = braid.BraidWord.parse(args.n, args.lhs)
     rhs = braid.BraidWord.parse(args.n, args.rhs)
     for w in (lhs, rhs):
         n, length = w.n, len(w.letters)
         if n * length * (n + length) > _WORD_WORK_LIMIT:
-            raise ratios.CapacityError(
+            raise CapacityError(
                 "braid words capped at n * L * (n + L) <= %d (n strands, L "
                 "letters; the slowest measured take about 3 s), got n = %d,"
                 " L = %d" % (_WORD_WORK_LIMIT, n, length))
@@ -104,6 +106,8 @@ def _cmd_braid_equal(args):
 
 
 def _hom_payload(h):
+    from . import braid
+
     payload = {
         "n": h.n,
         "k": h.k,
@@ -118,6 +122,8 @@ def _hom_payload(h):
 
 
 def _cmd_braid_search(args):
+    from . import braid
+
     classes = braid.search_homs(args.n, args.k)
     payload = {
         "n": args.n,
@@ -137,6 +143,8 @@ def _cmd_braid_search(args):
 
 
 def _cmd_braid_gallery(args):
+    from . import braid
+
     h = braid.standard_gallery(args.name, n=args.n, r=args.r,
                                x=args.x, y=args.y)
     return _emit({"name": args.name, **_hom_payload(h)})
@@ -149,8 +157,12 @@ _TRIALS_LIMIT = 2000
 
 
 def _cmd_gallery_verify(args):
+    import random
+
+    from . import morphisms
+
     if args.trials > _TRIALS_LIMIT:
-        raise ratios.CapacityError(
+        raise CapacityError(
             "gallery-verify capped at %d trials (ferrari, the slowest, "
             "takes about 3.5 s at the cap), got %d"
             % (_TRIALS_LIMIT, args.trials))
@@ -160,28 +172,32 @@ def _cmd_gallery_verify(args):
     return _emit({"name": args.name, **report}, 0 if report["pass"] else 1)
 
 
-# disc expands the discriminant symbolically; n = 7 takes about 2.5 s in
-# either kind (1103 terms) and monic n = 8 takes about 100 s, in-process
-# (2 CPUs, Python 3.11.7)
+# disc expands the discriminant symbolically; n = 7 (1103 terms) takes about
+# 2.3 s for one CLI call in either kind (median of 5, 2.1-2.8 s), and monic
+# n = 8 about 100 s in-process (2 CPUs, Python 3.11.7)
 _DISC_DEGREE_LIMIT = 7
 
 
 def _cmd_disc(args):
+    from . import polyring
+
     if args.n > _DISC_DEGREE_LIMIT:
-        raise ratios.CapacityError(
+        raise CapacityError(
             "symbolic discriminants capped at n = %d (n = 7 takes about "
-            "2.5 s, n = 8 about 100 s), got n = %d"
+            "2.3 s, n = 8 about 100 s), got n = %d"
             % (_DISC_DEGREE_LIMIT, args.n))
     if args.projective:
-        poly = discriminant_projective(args.n)
+        poly = polyring.discriminant_projective(args.n)
         kind = "projective"
     else:
-        poly = discriminant_monic(args.n)
+        poly = polyring.discriminant_monic(args.n)
         kind = "monic"
     return _emit({"n": args.n, "kind": kind, "terms": poly.to_json_terms()})
 
 
 def _cmd_abc(args):
+    from . import ratios
+
     report = ratios.verify_abc(args.n, args.bound)
     return _emit(report, 0 if report["pass"] else 1)
 
@@ -234,8 +250,11 @@ def build_parser():
     p.set_defaults(func=_cmd_braid_gallery)
 
     p = sub.add_parser("gallery-verify", help="verify a gallery identity")
+    # sorted(morphisms.GALLERY_CHECKS), spelled out so that parsing does
+    # not import morphisms
     p.add_argument("--name", required=True,
-                   choices=sorted(morphisms.GALLERY_CHECKS))
+                   choices=("cayley", "covering", "eisenstein", "feler6",
+                            "feler9", "ferrari", "model", "tame-eisenstein"))
     p.add_argument("--trials", type=_at_least(1), default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--symbolic", action="store_true")
@@ -262,7 +281,7 @@ def run(argv):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, ratios.CapacityError) as exc:
+    except (ValueError, CapacityError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
 

@@ -305,8 +305,9 @@ def _nine_factors_int(q):
 
 
 def _nine_disc_int(q):
-    """discriminant_int of the degree-9 form f1 f2 f3 at an integer point,
-    as disc(f1) disc(f2) disc(f3) (res(f1, f2) res(f2, f3) res(f3, f1))^2."""
+    """discriminant_of(F) for the degree-9 form F = f1 f2 f3 at an integer
+    point, as disc(f1) disc(f2) disc(f3)
+    (res(f1, f2) res(f2, f3) res(f3, f1))^2."""
     f1, f2, f3 = _nine_factors_int(q)
     return (cubic_discriminant(f1) * cubic_discriminant(f2)
             * cubic_discriminant(f3) * (cubic_resultant(f1, f2)
@@ -325,7 +326,7 @@ def feler_nine_sampled(trials=20, rng=None):
     distinct coordinates; per-trial failure chance for a wrong identity is
     at most total degree / (2*_SAMPLE_BOUND) by the standard zero-test bound
     (total degree here is at most 240).  The left-hand side at a point is
-    discriminant_int of the form, which at n = 9 is the standard
+    discriminant_of(F) for the form F, which at n = 9 is the standard
     discriminant of f1 f2 f3: the product of the standard (closed-form)
     discriminants of the cubic factors and their squared resultants, whose
     signs cancel in the squares.
@@ -367,7 +368,7 @@ def feler_nine_symbolic():
     vanishes identically iff it vanishes at every point of the principal
     lattice a+b <= 168 in the plane q3 = 1, so exact integer evaluation on
     that lattice (halved by the symmetry) decides the identity.  Each
-    point's discriminant_int, +1 times the standard discriminant at n = 9,
+    point's discriminant_of(F), +1 times the standard discriminant at n = 9,
     is the product of the standard cubic discriminants of f1, f2, f3 and
     their squared pairwise resultants (any resultant sign cancels), exact
     at formal degree 3 where a leading coefficient vanishes.

@@ -671,85 +671,15 @@ def discriminant_monic(n):
 
 
 # ---------------------------------------------------------------------------
-# fast univariate integer paths
+# integer binary cubics
 # ---------------------------------------------------------------------------
-
-
-def _int_poly_trim(p):
-    i = 0
-    while i < len(p) and p[i] == 0:
-        i += 1
-    return p[i:]
-
-
-def _int_poly_prem(a, b):
-    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a mod b, leading first."""
-    d = len(a) - len(b)
-    lb = b[0]
-    r = list(a)
-    steps = 0
-    while len(r) >= len(b):
-        lr = r[0]
-        r = [lb * c for c in r[1:]]
-        for i in range(len(b) - 1):
-            r[i] -= lr * b[i + 1]
-        r = _int_poly_trim(r)
-        steps += 1
-    if steps < d + 1:
-        scale = lb ** (d + 1 - steps)
-        r = [c * scale for c in r]
-    return r
-
-
-def resultant_int(f, g):
-    """Resultant of two integer polynomials (coefficients leading first).
-
-    Subresultant remainder-sequence computation; agrees exactly with the
-    Sylvester determinant, which the tests check against bareiss_det.
-    """
-    f = _int_poly_trim(list(f))
-    g = _int_poly_trim(list(g))
-    if not f or not g:
-        raise ValueError("resultant of the zero polynomial is undefined")
-    n, m = len(f) - 1, len(g) - 1
-    if n == 0:
-        return f[0] ** m
-    if m == 0:
-        return g[0] ** n
-    s = 1
-    a, b = f, g
-    if n < m:
-        a, b = b, a
-        if n % 2 == 1 and m % 2 == 1:
-            s = -s
-    gg = 1
-    h = 1
-    while True:
-        da, db = len(a) - 1, len(b) - 1
-        delta = da - db
-        if da % 2 == 1 and db % 2 == 1:
-            s = -s
-        r = _int_poly_prem(a, b)
-        if not r:
-            return 0  # positive-degree common factor
-        a = b
-        denom = gg * h ** delta
-        b = [_exact_quotient(c, denom) for c in r]
-        gg = a[0]
-        if delta == 1:
-            h = gg
-        elif delta > 1:
-            h = _exact_quotient(gg ** delta, h ** (delta - 1))
-        if len(b) == 1:
-            da = len(a) - 1
-            return s * _exact_quotient(b[0] ** da, h ** (da - 1))
 
 
 def cubic_discriminant(f):
     """Standard discriminant of the binary cubic f = [a, b, c, d].
 
     Closed form at formal degree 3, a = 0 included; it is
-    -discriminant_int(f), since the determinant convention carries
+    -discriminant_of(f), since the determinant convention carries
     (-1)^(n(n-1)/2).
     """
     a, b, c, d = f
@@ -771,30 +701,3 @@ def cubic_resultant(f, g):
     mid = p03 + p12
     return -(p01 * (mid * p23 - p13 * p13) - p02 * (p02 * p23 - p13 * p03)
              + p03 * (p02 * p13 - mid * p03))
-
-
-def _exact_quotient(a, b):
-    """a / b for a division the subresultant theory says is exact."""
-    q, r = divmod(a, b)
-    if r:
-        raise ArithmeticError("inexact division %r / %r in the subresultant "
-                              "sequence" % (a, b))
-    return q
-
-
-def discriminant_int(coeffs):
-    """Value of the discriminant polynomial at integer coefficients.
-
-    Matches discriminant_of exactly, including at points where the
-    leading coefficient vanishes (falls back to the determinant there).
-    """
-    coeffs = list(coeffs)
-    n = len(coeffs) - 1
-    if coeffs[0] == 0:
-        return bareiss_det(_disc_matrix(coeffs))
-    deriv = [(n - i) * c for i, c in enumerate(coeffs[:-1])]
-    res = resultant_int(coeffs, deriv)
-    q, r = divmod(res, coeffs[0])
-    if r:
-        raise ArithmeticError("resultant not divisible by leading coefficient")
-    return q

@@ -25,15 +25,11 @@ from functools import lru_cache
 from math import comb
 
 from .polyring import MultiPoly
-from . import homology
+from . import CapacityError, homology
 
 SR = "sr"
 CR = "cr"
 FAMILIES = (SR, CR, "l")
-
-
-class CapacityError(RuntimeError):
-    """Raised when an exhaustive search would exceed its supported range."""
 
 
 def klein_canonical(indices):

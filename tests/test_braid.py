@@ -1,5 +1,7 @@
+import copy
 import itertools
 import operator
+import pickle
 import random
 
 import pytest
@@ -640,3 +642,113 @@ def test_conjugacy_key_iff_conjugator(pair):
     assert (are_conjugate_dfs(h1, h2) is not None) == (w is not None)
     if w is not None:
         assert _relabel(h1, w) == h2
+
+
+# -- value types -------------------------------------------------------------
+
+
+def _values():
+    """Two values of each type whose fields differ, and a copy of each of
+    the first built from equal fields."""
+    t = Perm.transposition(3, 1)
+    return [
+        (Perm((2, 3, 1)), Perm((2, 3, 1)), Perm((3, 1, 2))),
+        (BraidWord(3, (1, 2)), BraidWord(3, (1, 2)), BraidWord(3, (2, 1))),
+        (BraidWord(3, (1, 2)), BraidWord(3, (1, 2)), BraidWord(4, (1, 2))),
+        (SymHom(3, 3, (t, t)), SymHom(3, 3, (t, t)),
+         SymHom(3, 3, (t, t), SPHERE)),
+        (SymHom(3, 3, (t, t)), SymHom(3, 3, (t, t)),
+         SymHom(4, 3, (t, t, t))),
+    ]
+
+
+@pytest.mark.parametrize("value, same, other", _values(),
+                         ids=lambda v: type(v).__name__)
+def test_value_type_equality_and_hash(value, same, other):
+    assert value == same and not value != same
+    assert hash(value) == hash(same)
+    assert value != other and not value == other
+    assert len({value, same, other}) == 2
+
+
+@pytest.mark.parametrize("value", [v for v, _, _ in _values()],
+                         ids=lambda v: type(v).__name__)
+def test_value_types_are_frozen(value):
+    names = {Perm: ("_t", "images", "extra"),
+             BraidWord: ("n", "letters", "extra"),
+             SymHom: ("n", "k", "images", "presentation", "extra")}
+    before = repr(value)
+    for name in names[type(value)]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert repr(value) == before
+
+
+def test_value_types_never_equal_tuples():
+    t = Perm.transposition(2, 1)
+    assert Perm((2, 1)) != (2, 1) and Perm((2, 1)) != (1, 0)
+    assert Perm((2, 1)) != ((1, 0),)
+    assert BraidWord(3, (1, 2)) != (3, (1, 2))
+    assert SymHom(2, 2, (t,)) != (2, 2, (t,), "artin")
+
+
+def test_value_type_reprs():
+    t = Perm.transposition(2, 1)
+    assert repr(Perm((2, 1, 3))) == "Perm(2 1 3)"
+    assert repr(BraidWord(3, (1, 2))) == "BraidWord(n=3, letters=(1, 2))"
+    assert repr(BraidWord(2, ())) == "BraidWord(n=2, letters=())"
+    assert repr(SymHom(3, 2, (t, t))) == (
+        "SymHom(n=3, k=2, images=(Perm(2 1), Perm(2 1)), "
+        "presentation='artin')")
+    assert repr(SymHom(3, 2, (t, t), SPHERE)) == (
+        "SymHom(n=3, k=2, images=(Perm(2 1), Perm(2 1)), "
+        "presentation='sphere')")
+
+
+def test_sym_hom_defaults_and_validation():
+    t, s = Perm.transposition(3, 1), Perm.transposition(3, 2)
+    c = Perm((2, 3, 1))
+    h = SymHom(3, 3, (t, t))
+    assert h.presentation == "artin" and h == SymHom(3, 3, (t, t), "artin")
+    for args, message in (
+            ((1, 2, ()), "need n >= 2 strands and degree k >= 1, got n = 1, "
+                         "k = 2"),
+            ((3, 0, ()), "need n >= 2 strands and degree k >= 1, got n = 3, "
+                         "k = 0"),
+            ((3, 3, (t, c)), "defining relation violated: ('braid', 1, 2)"),
+            ((4, 3, (t, s, s)),
+             "defining relation violated: ('commute', 1, 3)"),
+            ((3, 3, (c, c), SPHERE),
+             "defining relation violated: ('sphere',)"),
+            ((3, 3, (t,)), "need 2 generator images"),
+            ((3, 2, (t, t)), "images must have degree 2")):
+        with pytest.raises(ValueError) as err:
+            SymHom(*args)
+        assert str(err.value) == message
+
+
+def test_braid_word_validation_messages():
+    for args, message in (((1, ()), "need at least two strands"),
+                          ((3, (0,)), "letter 0 out of range for 3 strands"),
+                          ((3, (1, -3)),
+                           "letter -3 out of range for 3 strands")):
+        with pytest.raises(ValueError) as err:
+            BraidWord(*args)
+        assert str(err.value) == message
+
+
+def test_value_types_copy_and_pickle():
+    for value, _, _ in _values():
+        assert copy.copy(value) == value
+        assert copy.deepcopy(value) == value
+        assert pickle.loads(pickle.dumps(value)) == value
+
+
+@given(st.integers(1, 6).flatmap(lambda k: st.tuples(_perms(k), _perms(k))))
+def test_perm_equality_and_hash_follow_images(pair):
+    p, q = pair
+    assert (p == q) == (p.images == q.images)
+    assert (p != q) == (p.images != q.images)
+    assert p == Perm(p.images) and hash(p) == hash(Perm(p.images))

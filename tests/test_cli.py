@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from confspace import braid, cli, morphisms, ratios
+from confspace import braid, morphisms, polyring, ratios
 from confspace.cli import run
 from oracles import feler_nine_sampled_expanded
 
@@ -230,8 +230,8 @@ def test_disc_capacity(capsys, monkeypatch):
         raise AssertionError("discriminant expanded before the capacity "
                              "check")
 
-    monkeypatch.setattr(cli, "discriminant_monic", no_expansion)
-    monkeypatch.setattr(cli, "discriminant_projective", no_expansion)
+    monkeypatch.setattr(polyring, "discriminant_monic", no_expansion)
+    monkeypatch.setattr(polyring, "discriminant_projective", no_expansion)
     for argv in (["disc", "--n", "8"], ["disc", "--n", "9", "--projective"]):
         assert run(argv) == 2
         captured = capsys.readouterr()
@@ -246,8 +246,8 @@ def test_disc_cap_admits_seven(monkeypatch):
     def expand(n):
         raise Expanded
 
-    monkeypatch.setattr(cli, "discriminant_monic", expand)
-    monkeypatch.setattr(cli, "discriminant_projective", expand)
+    monkeypatch.setattr(polyring, "discriminant_monic", expand)
+    monkeypatch.setattr(polyring, "discriminant_projective", expand)
     for argv in (["disc", "--n", "7"], ["disc", "--n", "7", "--projective"]):
         with pytest.raises(Expanded):
             run(argv)

@@ -1,0 +1,84 @@
+"""Which layers each CLI call loads.
+
+A fresh interpreter per case: this process has already imported every
+layer, so only a subprocess shows what an import or a verb pulls in.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import confspace
+from confspace import braid, morphisms, ratios
+from confspace.cli import build_parser
+
+SRC = Path(confspace.__file__).resolve().parent.parent
+
+# prints the layers loaded after importing the CLI and after running argv
+_PROBE = """
+import io, json, sys
+import confspace.cli
+
+def layers():
+    return sorted(m.split(".", 1)[1] for m in sys.modules
+                  if m.startswith("confspace.") and m != "confspace.cli")
+
+seen = {"import": [layers(), "dataclasses" in sys.modules]}
+out, sys.stdout = sys.stdout, io.StringIO()
+status = confspace.cli.run(sys.argv[1:])
+sys.stdout = out
+seen["run"] = [layers(), "dataclasses" in sys.modules]
+seen["status"] = status
+print(json.dumps(seen))
+"""
+
+
+def _probe(argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", _PROBE, *argv], env=env,
+                         capture_output=True, check=True, timeout=120)
+    return json.loads(out.stdout)
+
+
+BRAID = ["braid"]
+RATIOS = ["homology", "polyring", "ratios"]
+LAYERS = {"braid-equal": BRAID, "braid-search": BRAID,
+          "braid-gallery": BRAID, "disc": ["polyring"],
+          "gallery-verify": ["morphisms", "polyring"], "complex": RATIOS,
+          "abc": RATIOS}
+
+
+@pytest.mark.parametrize("argv", [
+    ["braid-equal", "--n", "4", "--lhs", "1 2 -1 3", "--rhs", "-2 1 2 3"],
+    ["braid-search", "--n", "4", "--k", "3"],
+    ["braid-gallery", "--name", "nu6"],
+    ["disc", "--n", "3"],
+    ["gallery-verify", "--name", "cayley", "--trials", "2"],
+    ["complex", "--n", "5", "--family", "cr", "--homology"],
+    ["abc", "--n", "4", "--bound", "1"],
+], ids=lambda argv: argv[0])
+def test_each_verb_loads_only_its_layers(argv):
+    seen = _probe(argv)
+    assert seen["import"] == [[], False]
+    assert seen["status"] == 0
+    assert seen["run"][0] == LAYERS[argv[0]]
+    if LAYERS[argv[0]] == BRAID:
+        assert seen["run"][1] is False
+
+
+def test_gallery_names_match_the_checks():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    name = next(a for a in sub.choices["gallery-verify"]._actions
+                if a.dest == "name")
+    assert list(name.choices) == sorted(morphisms.GALLERY_CHECKS)
+
+
+def test_one_capacity_error():
+    assert ratios.CapacityError is braid.CapacityError
+    assert braid.CapacityError is confspace.CapacityError

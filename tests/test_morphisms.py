@@ -8,7 +8,6 @@ from confspace import morphisms
 from confspace.polyring import (
     BinaryForm,
     MultiPoly,
-    discriminant_int,
     discriminant_monic,
     discriminant_of,
     poly_eval,
@@ -42,7 +41,9 @@ from confspace.morphisms import (
 )
 from oracles import (
     _nine_form_int_coeffs,
+    discriminant_int,
     nine_form_disc_expanded,
+    resultant_int,
     tame_action_numeric,
 )
 
@@ -202,7 +203,6 @@ def test_nine_form_shape():
 
 
 def test_nine_form_at_sample_point_has_simple_disjoint_roots():
-    from confspace.polyring import resultant_int
     q = (0, 1, 2)
     c = _nine_form_int_coeffs(q)
     assert discriminant_int(c) != 0  # nine distinct projective roots

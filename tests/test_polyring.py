@@ -11,19 +11,19 @@ from confspace.polyring import (
     bareiss_det,
     cubic_discriminant,
     cubic_resultant,
-    discriminant_int,
     discriminant_monic,
     discriminant_projective,
     poly_eval,
     resultant,
-    resultant_int,
     sylvester_matrix,
 )
 from oracles import (
     cofactor_det,
+    discriminant_int,
     eval_terms,
     exact_divide_sorting,
     poly_gcd_degree,
+    resultant_int,
 )
 
 X, Y = MultiPoly.var("x"), MultiPoly.var("y")
