@@ -38,8 +38,8 @@ def _emit(payload, status=0):
 
 # the complexes on n marks have about n^3 2^(n-3) simplices, and --orbits
 # normalises every one of a dimension; at this cap the slowest accepted call,
-# cr n = 9 --homology --orbits 3, takes about 0.9 s for one CLI call (median
-# of 5, 0.7-1.0 s; 2 CPUs, Python 3.11.7)
+# cr n = 9 --homology --orbits 3, takes about 0.6 s for one CLI call (median
+# of 5, 0.55-0.8 s; 2 CPUs, Python 3.11.7)
 _COMPLEX_MARK_LIMIT = 9
 
 
@@ -52,7 +52,7 @@ def _cmd_complex(args):
         raise CapacityError(
             "ratio complexes capped at %d marks (n, or n + 1 for family l; "
             "the slowest accepted call, cr n = 9 --homology --orbits 3, takes "
-            "about 0.9 s), got %d" % (_COMPLEX_MARK_LIMIT, marks))
+            "about 0.6 s), got %d" % (_COMPLEX_MARK_LIMIT, marks))
     c = ratios.build_complex(args.n, args.family)
     payload = c.to_json()
     payload["dim"] = ratios.complex_dimension(c)
@@ -64,8 +64,7 @@ def _cmd_complex(args):
             args.n, args.family, args.orbits)
         payload["orbits"] = [
             {
-                "representative": [[v.kind, *v.indices]
-                                   for v in rep.vertices],
+                "representative": [[v.kind, *v.indices] for v in rep],
                 "size": size,
             }
             for rep, size in decomposition

@@ -3,10 +3,11 @@
 Vertices are the rational functions (q_k-q_i)/(q_k-q_j) on three marks and
 (q_l-q_i)(q_j-q_k)/((q_l-q_j)(q_i-q_k)) on four marks; a vertex divides
 another when their quotient is again such a function.  Pairwise divisors
-span simplices; the complexes here are the flag complexes of that relation,
-together with the symmetric-group action, orbit normal forms, the function
-catalogue on doubly punctured planes, and an exhaustive, exactly pruned
-search for three-term product identities.
+span simplices, each the sorted tuple of its vertices; the complexes here
+are the flag complexes of that relation, together with the symmetric-group
+action, orbit normal forms, the function catalogue on doubly punctured
+planes, and an exhaustive, exactly pruned search for three-term product
+identities.
 
 A subtlety the pure-family complexes depend on: two simple ratios sharing
 both base marks but not the top mark (sr_ijk and sr_ijl) have a cross ratio
@@ -241,36 +242,22 @@ def divides_rule(nu, mu):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Simplex:
-    vertices: tuple
-
-    def __post_init__(self):
-        if not self.vertices:
-            raise ValueError("simplex must be non-empty")
-        if tuple(sorted(self.vertices)) != self.vertices:
-            raise ValueError("vertices must be canonically sorted")
-        if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError("vertices must be distinct")
-        for a in range(len(self.vertices)):
-            for b in range(a + 1, len(self.vertices)):
-                if not divides_oracle(self.vertices[a], self.vertices[b]):
-                    raise ValueError("vertices must pairwise divide")
-
-    @property
-    def dimension(self):
-        return len(self.vertices) - 1
-
-    @property
-    def support(self):
-        out = set()
-        for v in self.vertices:
-            out |= v.support
-        return frozenset(out)
+def _check_pairwise(vertices):
+    for a, b in itertools.combinations(vertices, 2):
+        if not divides_rule(a, b):
+            raise ValueError("vertices %r and %r do not divide" % (a, b))
 
 
 def make_simplex(vertices):
-    return Simplex(tuple(sorted(vertices)))
+    """The simplex on ``vertices``: their sorted tuple, checked to be
+    non-empty, without repeats and pairwise dividing (by divides_rule)."""
+    s = tuple(sorted(vertices))
+    if not s:
+        raise ValueError("simplex must be non-empty")
+    if len(set(s)) != len(s):
+        raise ValueError("vertices must be distinct")
+    _check_pairwise(s)
+    return s
 
 
 def catalogue(n, family):
@@ -324,7 +311,10 @@ class RatioComplex:
     every simplex of dimension >= 1 lies in exactly one maximal simplex.
     The maximal simplices are listed directly: frames for "cr", stars on a
     common (top, numerator) or (top, denominator) for "sr", and for "l" the
-    frames of cr(n+1) with mark n+1 sent to infinity.  Every list is sorted.
+    frames of cr(n+1) with mark n+1 sent to infinity.  ``maximal_simplices``
+    holds them as sorted tuples of indices into ``vertices``; every vertex
+    pair in them is checked with divides_rule when the complex is built.
+    Every list is sorted.
     """
 
     def __init__(self, n, family):
@@ -336,8 +326,8 @@ class RatioComplex:
             raise ValueError("family %r needs n >= %d" % (family, minimum))
         self.n = n
         self.family = family
-        self.vertices = catalogue(n, family)
-        self._index = {v: i for i, v in enumerate(self.vertices)}
+        self.vertices = vs = catalogue(n, family)
+        index = {v: i for i, v in enumerate(vs)}
         if family == CR:
             tops = _frame_tops(n)
         elif family == SR:
@@ -345,22 +335,22 @@ class RatioComplex:
         else:
             tops = {frozenset(_from_infinity(v, n + 1) for v in t)
                     for t in _frame_tops(n + 1)}
-        self._tops = sorted(tuple(sorted(self._index[v] for v in t))
-                            for t in tops)
+        self.maximal_simplices = sorted(tuple(sorted(index[v] for v in t))
+                                        for t in tops)
+        for t in self.maximal_simplices:
+            _check_pairwise(vs[i] for i in t)
         self._by_dim = None
         self.divisibility_edges = self._faces(2)
-        self.maximal_simplices = [
-            make_simplex([self.vertices[i] for i in t]) for t in self._tops]
 
     def _faces(self, size):
         """The sorted union of the ``size``-subsets of the top simplices."""
-        return sorted({f for t in self._tops
+        return sorted({f for t in self.maximal_simplices
                        for f in itertools.combinations(t, size)})
 
     def all_simplices_by_dim(self):
         """Every simplex, grouped by dimension, indices sorted."""
         if self._by_dim is None:
-            top = max(len(t) for t in self._tops)
+            top = max(len(t) for t in self.maximal_simplices)
             self._by_dim = [self._faces(k + 1) for k in range(top)]
         return self._by_dim
 
@@ -373,7 +363,7 @@ class RatioComplex:
             "family": self.family,
             "vertices": [[v.kind, *v.indices] for v in self.vertices],
             "edges": [list(e) for e in self.divisibility_edges],
-            "maximal_simplices": [list(t) for t in self._tops],
+            "maximal_simplices": [list(t) for t in self.maximal_simplices],
         }
 
 
@@ -388,7 +378,7 @@ def build_complex(n, family):
 
 
 def complex_dimension(c):
-    return max(len(t) for t in c._tops) - 1
+    return max(len(t) for t in c.maximal_simplices) - 1
 
 
 def euler_characteristic(c):
@@ -425,12 +415,13 @@ def _apply_perm_vertex(sigma, v):
 
 
 def act(sigma, s):
-    """Relabel a simplex by a permutation given as a 1-based image tuple."""
+    """Relabel a vertex, or a simplex given as its vertex tuple, by a
+    permutation given as a 1-based image tuple."""
     if sorted(sigma) != list(range(1, len(sigma) + 1)):
         raise ValueError("not a permutation of 1..n")
     if isinstance(s, RatioVertex):
         return _apply_perm_vertex(sigma, s)
-    return make_simplex([_apply_perm_vertex(sigma, v) for v in s.vertices])
+    return make_simplex([_apply_perm_vertex(sigma, v) for v in s])
 
 
 def involution(v):
@@ -467,19 +458,19 @@ def delta_c(m):
     return make_simplex([cr_vertex(1, 2, 3, t) for t in range(4, m + 5)])
 
 
-def normal_form(s, n=None):
-    """Carry a pure simplex to its reference form.
+def normal_form(vertices, n=None):
+    """Carry a pure simplex, given as its sorted vertex tuple, to its
+    reference form.
 
-    ``s`` is a Simplex or a tuple of its vertices.  A pure simplex is a
-    frame plus one odd mark per vertex: sr(x, j, k) over x has the frame
-    (k, j), sr(i, x, k) over x the frame (k, i), and cr(f1, f2, f3, x) over
-    x the frame (f1, f2, f3); a single vertex is read with its own frame.
-    sigma sends the frame to 1, 2, ... and the sorted odd marks to the next
-    marks up.  Returns (sigma, canonical) with act(sigma, s) == canonical.
+    A pure simplex is a frame plus one odd mark per vertex: sr(x, j, k)
+    over x has the frame (k, j), sr(i, x, k) over x the frame (k, i), and
+    cr(f1, f2, f3, x) over x the frame (f1, f2, f3); a single vertex is
+    read with its own frame.  sigma sends the frame to 1, 2, ... and the
+    sorted odd marks to the next marks up.  Returns (sigma, canonical) with
+    act(sigma, vertices) == canonical.
     Mixed input, or a set of same-family vertices that is not a simplex of
     the pure complex, is rejected with ValueError.
     """
-    vertices = s.vertices if isinstance(s, Simplex) else tuple(s)
     marks = frozenset().union(*(v.support for v in vertices))
     top = max(marks)
     if n is None:
@@ -501,19 +492,20 @@ def normal_form(s, n=None):
     sigma = _complete_permutation(
         {x: t for t, x in enumerate(order, start=1)}, n)
     # compared as vertices: relabelling keeps divisibility, so a match is a
-    # pure simplex, and the pairwise re-check of act(sigma, s) could not fail
+    # pure simplex, and the pairwise re-check of act(sigma, vertices) could
+    # not fail
     moved = sorted(_apply_perm_vertex(sigma, v) for v in vertices)
-    if tuple(moved) != canonical.vertices:
+    if tuple(moved) != canonical:
         raise ValueError("not a simplex of a pure complex")
     return sigma, canonical
 
 
 def orbit_decomposition(n, family, m):
-    """Representatives and sizes of the relabeling orbits of m-simplices.
+    """(representative vertex tuple, orbit size) for the relabeling orbits
+    of m-simplices, sorted by representative.
 
-    Faces are normalised as vertex tuples: each lies in a maximal simplex
-    that was checked pairwise when the complex was built, so no Simplex is
-    rebuilt."""
+    Faces are normalised without a divisibility check: each lies in a
+    maximal simplex that was checked pairwise when the complex was built."""
     if family not in (SR, CR):
         raise ValueError("orbit decomposition is defined for pure families")
     c = build_complex(n, family)
@@ -525,7 +517,7 @@ def orbit_decomposition(n, family, m):
     for face in c.all_simplices_by_dim()[m]:
         _, canonical = normal_form(tuple(vs[i] for i in face), n)
         counts[canonical] = counts.get(canonical, 0) + 1
-    return sorted(counts.items(), key=lambda kv: kv[0].vertices)
+    return sorted(counts.items())
 
 
 # ---------------------------------------------------------------------------

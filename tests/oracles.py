@@ -149,7 +149,7 @@ def brute_orbit_key(simplex, n, act):
     best = None
     for images in permutations(range(1, n + 1)):
         moved = act(images, simplex)
-        key = tuple((v.kind, v.indices) for v in moved.vertices)
+        key = tuple((v.kind, v.indices) for v in moved)
         if best is None or key < best:
             best = key
     return best
@@ -159,10 +159,10 @@ def _pure_family(s):
     """The family of a simplex of a pure complex, checked pair by pair, or
     None: simple ratios need a common top mark and exactly one common base
     mark, cross ratios the catalogue divisibility."""
-    kinds = {v.kind for v in s.vertices}
+    kinds = {v.kind for v in s}
     if len(kinds) != 1:
         return None
-    for a, b in combinations(s.vertices, 2):
+    for a, b in combinations(s, 2):
         if a.kind == "sr":
             (i1, j1, k1), (i2, j2, k2) = a.indices, b.indices
             if k1 != k2 or (i1 == i2) == (j1 == j2):
@@ -172,14 +172,13 @@ def _pure_family(s):
     return kinds.pop()
 
 
-def normal_form_by_cases(s, n):
+def normal_form_by_cases(vs, n):
     """Normal form of a pure simplex, case by case: simple or cross ratios,
     one vertex or more.  Returns (sigma, canonical) like normal_form."""
-    kind = _pure_family(s)
+    kind = _pure_family(vs)
     if kind is None:
         raise ValueError("not a simplex of a pure complex")
-    m = s.dimension
-    vs = s.vertices
+    m = len(vs) - 1
     if kind == "sr" and m == 0:
         i, j, k = vs[0].indices
         partial, canonical = {i: 3, j: 2, k: 1}, delta_s(0)
@@ -205,21 +204,21 @@ def normal_form_by_cases(s, n):
         partial.update((x, t) for t, x in enumerate(sorted(odd), start=4))
         canonical = delta_c(m)
     sigma = _complete_permutation(partial, n)
-    if act(sigma, s) != canonical:
-        raise AssertionError("normalization failed for %r" % (s,))
+    if act(sigma, vs) != canonical:
+        raise AssertionError("normalization failed for %r" % (vs,))
     return sigma, canonical
 
 
 def orbit_decomposition_by_simplices(n, family, m):
     """orbit_decomposition with every face rebuilt as a pairwise-checked
-    Simplex and normalised by cases."""
+    vertex tuple and normalised by cases."""
     c = build_complex(n, family)
     counts = {}
     for face in c.all_simplices_by_dim()[m]:
         s = make_simplex([c.vertices[i] for i in face])
         _, canonical = normal_form_by_cases(s, n)
         counts[canonical] = counts.get(canonical, 0) + 1
-    return sorted(counts.items(), key=lambda kv: kv[0].vertices)
+    return sorted(counts.items())
 
 
 @lru_cache(maxsize=None)

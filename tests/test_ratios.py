@@ -194,9 +194,7 @@ def test_complex_matches_pairwise_oracle(family, n):
     assert c.vertices == vertices
     assert c.divisibility_edges == sorted(
         tuple(sorted(e)) for e in graph.edges)
-    index = {v: i for i, v in enumerate(vertices)}
-    assert [tuple(index[v] for v in s.vertices)
-            for s in c.maximal_simplices] == sorted(
+    assert c.maximal_simplices == sorted(
         tuple(sorted(q)) for q in networkx.find_cliques(graph))
     by_size = {}
     for q in networkx.enumerate_all_cliques(graph):
@@ -260,7 +258,7 @@ def test_flag_property():
     for a, b in c.divisibility_edges:
         adj.setdefault(a, set()).add(b)
         adj.setdefault(b, set()).add(a)
-    max_sets = [set(s.vertices) for s in c.maximal_simplices]
+    max_sets = [{verts[i] for i in t} for t in c.maximal_simplices]
     for _ in range(200):
         size = rng.randint(1, 3)
         idx = rng.sample(range(len(verts)), size)
@@ -275,9 +273,7 @@ def test_maximal_simplices_are_maximal_cliques():
     for a, b in c.divisibility_edges:
         adj.setdefault(a, set()).add(b)
         adj.setdefault(b, set()).add(a)
-    index = {v: i for i, v in enumerate(c.vertices)}
-    for s in c.maximal_simplices:
-        ids = [index[v] for v in s.vertices]
+    for ids in c.maximal_simplices:
         for a, b in itertools.combinations(ids, 2):
             assert b in adj.get(a, ())
         common = set(range(len(c.vertices)))
@@ -289,10 +285,35 @@ def test_maximal_simplices_are_maximal_cliques():
 def test_mixed_maximal_cliques_have_one_simple_vertex():
     for n in (4, 5, 6):
         c = build_complex(n, "l")
-        for s in c.maximal_simplices:
-            kinds = [v.kind for v in s.vertices]
+        for t in c.maximal_simplices:
+            kinds = [c.vertices[i].kind for i in t]
             if "sr" in kinds and "cr" in kinds:
                 assert kinds.count("sr") == 1
+
+
+def test_complex_build_checks_pairs_without_oracle(monkeypatch):
+    # built directly, past the build_complex cache
+    def no_oracle(nu, mu):
+        raise AssertionError("divides_oracle called by the build")
+
+    monkeypatch.setattr(ratios, "divides_oracle", no_oracle)
+    for family, marks in (("cr", (4, 5, 6)), ("sr", (3, 4, 5)),
+                          ("l", (3, 4, 5))):
+        for n in marks:
+            c = ratios.RatioComplex(n, family)
+            assert c.maximal_simplices == [
+                tuple(t) for t in c.to_json()["maximal_simplices"]]
+
+
+def test_complex_build_refuses_a_non_dividing_top(monkeypatch):
+    frame_tops = ratios._frame_tops
+    a, b = cr_vertex(1, 2, 3, 4), cr_vertex(1, 3, 2, 4)
+    assert not divides_rule(a, b)
+    monkeypatch.setattr(ratios, "_frame_tops",
+                        lambda n: frame_tops(n) | {frozenset((a, b))})
+    with pytest.raises(ValueError) as err:
+        ratios.RatioComplex(5, "cr")
+    assert repr(a) in str(err.value) and repr(b) in str(err.value)
 
 
 def test_homology_values():
@@ -348,7 +369,7 @@ def test_homology_independent_of_vertex_order():
 def test_act_identity_and_divisibility_preserved():
     c = build_complex(5, "cr")
     ident = tuple(range(1, 6))
-    s = c.maximal_simplices[0]
+    s = make_simplex(c.vertices[i] for i in c.maximal_simplices[0])
     assert act(ident, s) == s
     rng = random.Random(13)
     for n in (5, 6):
@@ -392,8 +413,10 @@ def test_normal_form_common_numerator_example():
 
 
 def test_simplex_requires_pairwise_divisibility():
-    with pytest.raises(ValueError):
-        make_simplex([sr_vertex(1, 2, 3), sr_vertex(2, 1, 3)])
+    for vertices in ([sr_vertex(1, 2, 3), sr_vertex(2, 1, 3)], [],
+                     [sr_vertex(1, 2, 3), sr_vertex(1, 2, 3)]):
+        with pytest.raises(ValueError):
+            make_simplex(vertices)
 
 
 def test_mixed_chain_is_a_simplex():
@@ -402,7 +425,7 @@ def test_mixed_chain_is_a_simplex():
         vs = [sr_vertex(1, 2, 3)] + [cr_vertex(1, 2, l, 3)
                                      for l in range(4, n + 1)]
         s = make_simplex(vs)
-        assert s.dimension == n - 3
+        assert len(s) - 1 == n - 3
 
 
 def test_normal_form_rejects_mixed():
@@ -515,6 +538,7 @@ def test_orbit_decomposition_skips_face_checks(monkeypatch):
         raise AssertionError("divisibility re-checked after the build")
 
     monkeypatch.setattr(ratios, "divides_oracle", no_oracle)
+    monkeypatch.setattr(ratios, "divides_rule", no_oracle)
     for (family, m), dec in first.items():
         assert orbit_decomposition(n, family, m) == dec
 
