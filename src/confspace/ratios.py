@@ -242,9 +242,15 @@ def divides_rule(nu, mu):
 # ---------------------------------------------------------------------------
 
 
-def _check_pairwise(vertices):
+def _shared_top_divides(nu, mu):
+    """Divisibility inside the pure "sr" complex: simple ratios on one top
+    mark (divides_rule alone also accepts a cross-ratio quotient)."""
+    return nu.indices[2] == mu.indices[2] and divides_rule(nu, mu)
+
+
+def _check_pairwise(vertices, divides=divides_rule):
     for a, b in itertools.combinations(vertices, 2):
-        if not divides_rule(a, b):
+        if not divides(a, b):
             raise ValueError("vertices %r and %r do not divide" % (a, b))
 
 
@@ -313,7 +319,8 @@ class RatioComplex:
     common (top, numerator) or (top, denominator) for "sr", and for "l" the
     frames of cr(n+1) with mark n+1 sent to infinity.  ``maximal_simplices``
     holds them as sorted tuples of indices into ``vertices``; every vertex
-    pair in them is checked with divides_rule when the complex is built.
+    pair in them is checked when the complex is built, with divides_rule
+    and, for "sr", a shared top mark.
     Every list is sorted.
     """
 
@@ -337,8 +344,9 @@ class RatioComplex:
                     for t in _frame_tops(n + 1)}
         self.maximal_simplices = sorted(tuple(sorted(index[v] for v in t))
                                         for t in tops)
+        divides = _shared_top_divides if family == SR else divides_rule
         for t in self.maximal_simplices:
-            _check_pairwise(vs[i] for i in t)
+            _check_pairwise((vs[i] for i in t), divides)
         self._by_dim = None
         self.divisibility_edges = self._faces(2)
 

@@ -5,7 +5,8 @@ cofactor expansion, evaluation by direct term arithmetic, polynomial
 division by re-sorting the remainder at every step, gcds by a remainder
 sequence, orbit representatives by exhaustive relabeling, normal forms
 case by case on pairwise-checked simplices,
-homomorphism classes by Perm products, closures and pairwise conjugacy,
+homomorphism classes by Perm products, closures and pairwise conjugacy
+or by scanning every alpha-image in S(k),
 conjugators by depth-first search, braid canonical forms by repeated
 sweeps over the whole factor list, ratio complexes by a pairwise
 divisibility scan, the action of the fractional-linear involution by
@@ -28,14 +29,22 @@ from confspace.braid import (
     CanonicalBraid,
     Perm,
     SymHom,
+    _all_equal,
+    _conjugacy_key,
+    _cycle_type,
+    _hom_images,
     _pdelta,
+    _perm,
     _pid,
     _pinv,
     _pmul,
     _ptransp,
+    _tuple,
+    _word_image,
     alpha_word,
     check_relations,
     conjugacy_class_reps,
+    hom_properties,
 )
 from confspace.morphisms import (
     _SAMPLE_BOUND,
@@ -416,6 +425,42 @@ def search_homs_pairwise(n, k, include_cyclic=True):
         )
 
     return [{"hom": h, **props} for h, props in sorted(found, key=sort_key)]
+
+
+def search_homs_full_scan(n, k, include_cyclic=True):
+    """The classes search_homs returns, by the original tuple-kernel scan:
+    every cycle-type representative against every alpha-image in S(k), the
+    first passing one per conjugacy key kept."""
+    classes = {}
+    for rep in conjugacy_class_reps(k):
+        s = _tuple(rep)
+        braids = {}
+        for a in permutations(range(k)):
+            images = _hom_images(s, a, n, braids)
+            if images is not None and (include_cyclic
+                                       or not _all_equal(images)):
+                classes.setdefault(_conjugacy_key(images, k), images)
+    alpha = alpha_word(n).letters
+
+    def sort_key(images):
+        return (
+            _cycle_type(images[0]),
+            _cycle_type(_word_image(images, alpha, k)),
+            tuple(images),
+        )
+
+    out = []
+    for images in sorted(classes.values(), key=sort_key):
+        h = SymHom(n, k, tuple(map(_perm, images)))
+        props = hom_properties(h)
+        out.append({
+            "hom": h,
+            "cyclic": props["cyclic_image"],
+            "transitive": props["transitive"],
+            "surjective": props["surjective"],
+            "image_order": props["image_order"],
+        })
+    return out
 
 
 def _starting_set(p):

@@ -37,6 +37,10 @@ from confspace.braid import (
     word,
     words_equal,
     _conjugacy_key,
+    _conjugators,
+    _cycle_type,
+    _pinv,
+    _pmul,
     _tuple,
 )
 from oracles import (
@@ -44,6 +48,7 @@ from oracles import (
     canonical_form_sweep,
     cyclic_by_closure,
     passing_homs,
+    search_homs_full_scan,
     search_homs_pairwise,
 )
 
@@ -581,6 +586,52 @@ def test_search_matches_pairwise_oracle(n, k):
     # representatives
     assert search_homs(n, k, include_cyclic=False) == [
         c for c in expected if not c["cyclic"]]
+
+
+@pytest.mark.parametrize(
+    "n,k",
+    [(n, k) for n in range(3, 9) for k in range(1, 7)]
+    + [(n, 7) for n in (3, 4, 6, 7)])
+def test_search_matches_full_scan(n, k):
+    # the listed alpha-images find the same classes, representatives and
+    # order as the scan of all of S(k)
+    for include_cyclic in (True, False):
+        assert search_homs(n, k, include_cyclic) == search_homs_full_scan(
+            n, k, include_cyclic)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_conjugators_are_a_coset_of_the_centraliser(k):
+    perms = list(itertools.permutations(range(k)))
+    for rep in conjugacy_class_reps(k):
+        s = _tuple(rep)
+        coset = {}  # t -> every a with a * s * a^-1 == t
+        for a in perms:
+            coset.setdefault(_pmul(_pmul(a, s), _pinv(a)), set()).add(a)
+        assert sorted(coset) == sorted(
+            t for t in perms if _cycle_type(t) == _cycle_type(s))
+        for t, expected in coset.items():
+            listed = _conjugators(s, t)
+            assert len(listed) == len(set(listed)) == len(coset[s])
+            assert set(listed) == expected
+
+
+# -- Lin, "Braids and permutations" (arXiv math/0404528) ---------------------
+
+
+def test_lin_seven_eight_transitive_class_is_cyclic():
+    # 6 < n < k < 2n: every transitive homomorphism is cyclic
+    classes = search_homs(7, 8)
+    assert len(classes) == 23
+    transitive = [c for c in classes if c["transitive"]]
+    assert len(transitive) == 1 and transitive[0]["cyclic"]
+
+
+@pytest.mark.parametrize("n,k", [(6, 5), (7, 5), (7, 6), (8, 7)])
+def test_lin_below_n_every_class_is_cyclic(n, k):
+    # n > 4 and k < n: every homomorphism is cyclic
+    classes = search_homs(n, k)
+    assert classes and all(c["cyclic"] for c in classes)
 
 
 @pytest.mark.parametrize("n,k", [(4, 4), (5, 5), (6, 6)])

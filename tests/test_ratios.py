@@ -316,6 +316,18 @@ def test_complex_build_refuses_a_non_dividing_top(monkeypatch):
     assert repr(a) in str(err.value) and repr(b) in str(err.value)
 
 
+def test_star_complex_build_refuses_a_cross_ratio_pair(monkeypatch):
+    star_tops = ratios._star_tops
+    a, b = sr_vertex(1, 2, 3), sr_vertex(1, 2, 4)
+    # a catalogue edge (their quotient is a cross ratio), not a pure one
+    assert divides_rule(a, b)
+    monkeypatch.setattr(ratios, "_star_tops",
+                        lambda n: star_tops(n) | {frozenset((a, b))})
+    with pytest.raises(ValueError) as err:
+        ratios.RatioComplex(5, "sr")
+    assert repr(a) in str(err.value) and repr(b) in str(err.value)
+
+
 def test_homology_values():
     rep = homology_report(build_complex(5, "cr"))
     assert rep["betti"] == [1, 31]
@@ -567,7 +579,8 @@ def test_normal_form_of_vertex_tuples():
         for faces in c.all_simplices_by_dim():
             for face in faces[::17]:
                 vs = tuple(c.vertices[i] for i in face)
-                assert normal_form(vs, n=6) == normal_form(make_simplex(vs), n=6)
+                sigma, canonical = normal_form(vs, n=6)
+                assert act(sigma, vs) == canonical
     with pytest.raises(ValueError):
         normal_form((sr_vertex(3, 2, 1), cr_vertex(1, 2, 3, 4)), n=4)
 
