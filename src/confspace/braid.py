@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from math import factorial, lcm
 
-from . import CapacityError
+from . import CapacityError, _frozen, _undeletable
 
 
 # ---------------------------------------------------------------------------
@@ -83,14 +83,6 @@ def _word_image(gens, letters, k):
         img = gens[abs(g) - 1]
         p = _pmul(p, img if g > 0 else _pinv(img))
     return p
-
-
-def _frozen(self, name, value):
-    raise AttributeError("cannot assign to field %r" % name)
-
-
-def _undeletable(self, name):
-    raise AttributeError("cannot delete field %r" % name)
 
 
 class Perm:
@@ -898,8 +890,17 @@ def lattice_hom(n, r, x, y):
 
 
 def standard_gallery(name, n=None, r=None, x=None, y=None):
-    """Named homomorphisms by construction, relation-verified."""
+    """Named homomorphisms by construction, relation-verified.
+
+    Only phixy takes r, x and y; nu6 and nu41..nu43 take no n other than
+    their own strand count (6 and 4)."""
     name = name.lower()
+    if name != "phixy" and (r, x, y) != (None, None, None):
+        raise ValueError("%s takes no r, x or y" % name)
+    strands = {"nu6": 6, "nu41": 4, "nu42": 4, "nu43": 4}.get(name)
+    if strands is not None and n not in (None, strands):
+        raise ValueError("%s is on %d strands, got n = %d"
+                         % (name, strands, n))
     if name == "mu":
         if n is None:
             raise ValueError("mu needs n")

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import sys
-from fractions import Fraction
 
 from . import CapacityError
 
@@ -17,17 +17,19 @@ _SAFE = 1 << 53
 
 
 def _jsonable(value):
-    """Ints beyond the 53-bit safe range become decimal strings."""
+    """Ints beyond the 53-bit safe range become decimal strings, and so do
+    fractions (checked as numbers.Rational, so that importing the CLI does
+    not load `fractions`)."""
     if isinstance(value, bool):
         return value
     if isinstance(value, int):
         return str(value) if abs(value) > _SAFE else value
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, numbers.Rational):
+        return str(value)
     return value
 
 

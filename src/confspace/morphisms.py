@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from . import _frozen, _undeletable
 from .polyring import (
     BinaryForm,
     MultiPoly,
@@ -33,13 +33,24 @@ from .polyring import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class QuadExt:
-    """An element a + b*sqrt(d) of a real quadratic extension."""
+    """An element a + b*sqrt(d) of a real quadratic extension (a and b
+    Fractions, d an int)."""
 
-    a: Fraction
-    b: Fraction
-    d: int
+    __slots__ = ("a", "b", "d")
+    __setattr__ = _frozen
+    __delattr__ = _undeletable
+
+    def __init__(self, a, b, d):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "d", d)
+
+    def __reduce__(self):
+        return QuadExt, (self.a, self.b, self.d)
+
+    def __repr__(self):
+        return "QuadExt(a=%r, b=%r, d=%r)" % (self.a, self.b, self.d)
 
     @classmethod
     def of(cls, a, b=0, d=0):
@@ -105,19 +116,34 @@ def _exact(x):
     return x if isinstance(x, QuadExt) else Fraction(x)
 
 
-@dataclass(frozen=True)
 class Config:
     """A tuple of pairwise distinct exact points."""
 
-    points: tuple
+    __slots__ = ("points",)
+    __setattr__ = _frozen
+    __delattr__ = _undeletable
 
-    def __post_init__(self):
-        pts = [_exact(p) for p in self.points]
+    def __init__(self, points):
+        pts = [_exact(p) for p in points]
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 if _points_equal(pts[i], pts[j]):
                     raise ValueError("configuration points must be distinct")
         object.__setattr__(self, "points", tuple(pts))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.points == other.points
+
+    def __hash__(self):
+        return hash((self.points,))
+
+    def __reduce__(self):
+        return Config, (self.points,)
+
+    def __repr__(self):
+        return "Config(points=%r)" % (self.points,)
 
     def __len__(self):
         return len(self.points)
@@ -470,6 +496,18 @@ def cayley_eisenstein(f):
     return BinaryForm(3, coeffs)
 
 
+# the coordinate changes that preserve the weighted coefficient shape, as
+# maps of a cubic's coefficient list
+_CAYLEY_TRANSFORMS = {
+    "identity": lambda cs: cs,
+    "swap x,y": lambda cs: cs[::-1],
+    "y -> -y": lambda cs: [c if i % 2 == 0 else -c
+                           for i, c in enumerate(cs)],
+    "swap and y -> -y": lambda cs: [c if i % 2 == 0 else -c
+                                    for i, c in enumerate(cs[::-1])],
+}
+
+
 def cayley_comparison():
     """Exact relation between the Jacobian construction and the
     derivative-potential construction on a generic weighted cubic.
@@ -477,20 +515,13 @@ def cayley_comparison():
     Tries the coordinate changes that preserve the weighted coefficient
     shape (identity, x/y swap, and the sign flips of either variable) and
     returns the one under which the Jacobian is a constant multiple of the
-    derivative image, with the constant.
+    derivative image, with the constant; raises ArithmeticError if none
+    does.
     """
     e = _HESSE_VARS
     jac = cayley_eisenstein(hesse_form(e))
     target = hesse_form(eisenstein(e))
-    variants = {
-        "identity": lambda cs: cs,
-        "swap x,y": lambda cs: cs[::-1],
-        "y -> -y": lambda cs: [c if i % 2 == 0 else -c
-                               for i, c in enumerate(cs)],
-        "swap and y -> -y": lambda cs: [c if i % 2 == 0 else -c
-                                        for i, c in enumerate(cs[::-1])],
-    }
-    for label, tf in variants.items():
+    for label, tf in _CAYLEY_TRANSFORMS.items():
         cand = tf(list(target.coeffs))
         ratio = None
         ok = True
@@ -522,14 +553,33 @@ def cayley_comparison():
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class FormalSqrt:
-    """u + v*sqrt(base) with polynomial components and reduction rule
-    (sqrt(base))^2 = base."""
+    """u + v*sqrt(base) with polynomial components (MultiPoly) and
+    reduction rule (sqrt(base))^2 = base."""
 
-    base: MultiPoly
-    u: MultiPoly
-    v: MultiPoly
+    __slots__ = ("base", "u", "v")
+    __setattr__ = _frozen
+    __delattr__ = _undeletable
+
+    def __init__(self, base, u, v):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.base, self.u, self.v) == (other.base, other.u, other.v)
+
+    def __hash__(self):
+        return hash((self.base, self.u, self.v))
+
+    def __reduce__(self):
+        return FormalSqrt, (self.base, self.u, self.v)
+
+    def __repr__(self):
+        return "FormalSqrt(base=%r, u=%r, v=%r)" % (self.base, self.u,
+                                                   self.v)
 
     def _check(self, other):
         if self.base != other.base:
@@ -561,7 +611,6 @@ class FormalSqrt:
         return self.u.is_zero() and self.v.is_zero()
 
 
-@dataclass(frozen=True)
 class MoebiusMap:
     """A fractional-linear map with entries in a coefficient ring.
 
@@ -570,11 +619,34 @@ class MoebiusMap:
     square root.
     """
 
-    a: object
-    b: object
-    c: object
-    d: object
-    denominator: object = 1
+    __slots__ = ("a", "b", "c", "d", "denominator")
+    __setattr__ = _frozen
+    __delattr__ = _undeletable
+
+    def __init__(self, a, b, c, d, denominator=1):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "denominator", denominator)
+
+    def _fields(self):
+        return (self.a, self.b, self.c, self.d, self.denominator)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return MoebiusMap, self._fields()
+
+    def __repr__(self):
+        return ("MoebiusMap(a=%r, b=%r, c=%r, d=%r, denominator=%r)"
+                % self._fields())
 
     def determinant_numerator(self):
         return self.a * self.d - self.b * self.c
@@ -783,7 +855,11 @@ def _verify_eisenstein(trials, rng, symbolic):
 
 
 def _verify_cayley(trials, rng, symbolic):
-    rel = cayley_comparison()
+    try:
+        rel = cayley_comparison()
+    except ArithmeticError:
+        return _report(False, "symbolic", 0,
+                       {"transforms_tried": list(_CAYLEY_TRANSFORMS)})
     return _report(True, "symbolic", 0, transform=rel["transform"],
                    scalar="%d/%d" % (rel["numerator"], rel["denominator"]))
 

@@ -20,13 +20,10 @@ or a denominator.  The "cr" complex is identical under both readings.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .polyring import MultiPoly
-from . import CapacityError, homology
+from . import CapacityError, _frozen, _undeletable
 
 SR = "sr"
 CR = "cr"
@@ -39,23 +36,62 @@ def klein_canonical(indices):
     return min([(i, j, k, l), (j, i, l, k), (k, l, i, j), (l, k, j, i)])
 
 
-@dataclass(frozen=True, order=True)
 class RatioVertex:
-    kind: str
-    indices: tuple
+    """A simple (``kind`` "sr", three marks) or cross (``kind`` "cr", four
+    Klein-canonical marks) ratio; vertices compare as (kind, indices)."""
 
-    def __post_init__(self):
-        if self.kind not in (SR, CR):
+    __slots__ = ("kind", "indices")
+    __setattr__ = _frozen
+    __delattr__ = _undeletable
+
+    def __init__(self, kind, indices):
+        if kind not in (SR, CR):
             raise ValueError("kind must be 'sr' or 'cr'")
-        want = 3 if self.kind == SR else 4
-        if len(self.indices) != want:
-            raise ValueError("%s vertex needs %d indices" % (self.kind, want))
-        if len(set(self.indices)) != want:
+        want = 3 if kind == SR else 4
+        if len(indices) != want:
+            raise ValueError("%s vertex needs %d indices" % (kind, want))
+        if len(set(indices)) != want:
             raise ValueError("indices must be pairwise distinct")
-        if any(i < 1 for i in self.indices):
+        if any(i < 1 for i in indices):
             raise ValueError("indices must be positive")
-        if self.kind == CR and klein_canonical(self.indices) != self.indices:
+        if kind == CR and klein_canonical(indices) != indices:
             raise ValueError("cross-ratio indices must be Klein-canonical")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "indices", indices)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.indices) == (other.kind, other.indices)
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.indices) < (other.kind, other.indices)
+
+    def __le__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.indices) <= (other.kind, other.indices)
+
+    def __gt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.indices) > (other.kind, other.indices)
+
+    def __ge__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.indices) >= (other.kind, other.indices)
+
+    def __hash__(self):
+        return hash((self.kind, self.indices))
+
+    def __reduce__(self):
+        return RatioVertex, (self.kind, self.indices)
+
+    def __repr__(self):
+        return "RatioVertex(kind=%r, indices=%r)" % (self.kind, self.indices)
 
     @property
     def support(self):
@@ -70,20 +106,38 @@ def cr_vertex(i, j, k, l):
     return RatioVertex(CR, klein_canonical((i, j, k, l)))
 
 
-@dataclass(frozen=True)
 class DiffProduct:
     """A signed product of powers of mark differences.
 
     Represents scalar * prod (q_a - q_b)^e over ordered pairs a < b; the
     reorientation q_b - q_a = -(q_a - q_b) is folded into the scalar.
+    ``powers`` is the sorted tuple of ((a, b), e) with a < b and e != 0.
     """
 
-    scalar: int
-    powers: tuple  # sorted tuple of ((a, b), e) with a < b and e != 0
+    __slots__ = ("scalar", "powers")
+    __setattr__ = _frozen
+    __delattr__ = _undeletable
 
-    def __post_init__(self):
-        if self.scalar not in (1, -1):
+    def __init__(self, scalar, powers):
+        if scalar not in (1, -1):
             raise ValueError("scalar must be +1 or -1")
+        object.__setattr__(self, "scalar", scalar)
+        object.__setattr__(self, "powers", powers)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.scalar, self.powers) == (other.scalar, other.powers)
+
+    def __hash__(self):
+        return hash((self.scalar, self.powers))
+
+    def __reduce__(self):
+        return DiffProduct, (self.scalar, self.powers)
+
+    def __repr__(self):
+        return "DiffProduct(scalar=%r, powers=%r)" % (self.scalar,
+                                                     self.powers)
 
     @classmethod
     def from_factors(cls, factors):
@@ -127,6 +181,8 @@ class DiffProduct:
 
     def evaluate(self, values):
         """Exact value at a point; indices map to Fractions."""
+        from fractions import Fraction
+
         acc = Fraction(self.scalar)
         for (a, b), e in self.powers:
             d = Fraction(values[a]) - Fraction(values[b])
@@ -398,6 +454,8 @@ def euler_characteristic(c):
 
 def betti_numbers(c):
     """Integral homology: per dimension, (betti rank, torsion summands)."""
+    from . import homology
+
     return homology.homology_ranks(c.all_simplices_by_dim())
 
 
@@ -569,6 +627,8 @@ def enumerate_punctured(m):
 
 def punctured_value(h, coords):
     """Evaluate a catalogue function at free marks q_1..q_m."""
+    from fractions import Fraction
+
     values = {i: Fraction(c) for i, c in enumerate(coords, start=1)}
     values[len(coords) + 1] = Fraction(0)
     values[len(coords) + 2] = Fraction(1)
@@ -581,6 +641,8 @@ def punctured_value(h, coords):
 
 
 def _expand_product(pairs):
+    from .polyring import MultiPoly
+
     p = MultiPoly.one()
     for a, b in pairs:
         p = p * (MultiPoly.var("z%d" % a) - MultiPoly.var("z%d" % b))

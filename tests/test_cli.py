@@ -145,6 +145,45 @@ def test_braid_gallery(capsys):
     assert data["image_order"] == 720 and data["surjective"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["--name", "nu6", "--n", "5"],
+    ["--name", "nu41", "--n", "6"],
+    ["--name", "nu43", "--r", "2"],
+    ["--name", "mu", "--n", "4", "--r", "2"],
+    ["--name", "phi2", "--n", "4", "--x", "1"],
+    ["--name", "phi3", "--n", "4", "--y", "0"],
+], ids=lambda argv: " ".join(argv[1::2]))
+def test_braid_gallery_refuses_flags_the_map_does_not_take(capsys, argv):
+    assert run(["braid-gallery", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert argv[1] in captured.err
+
+
+@pytest.mark.parametrize("argv, n", [
+    (["--name", "nu6", "--n", "6"], 6),
+    (["--name", "nu42", "--n", "4"], 4),
+    (["--name", "phi1", "--n", "3"], 3),
+    (["--name", "phixy", "--n", "3", "--r", "2", "--x", "1", "--y", "1"], 3),
+])
+def test_braid_gallery_takes_its_own_flags(capsys, argv, n):
+    status, out = capture(capsys, ["braid-gallery", *argv])
+    assert status == 0
+    assert json.loads(out)["n"] == n
+
+
+def test_cayley_mismatch_fails_with_witness(capsys, monkeypatch):
+    # the identity in place of the derivative image: no transform makes the
+    # Jacobian a constant multiple of it
+    monkeypatch.setattr(morphisms, "eisenstein", lambda z: tuple(z))
+    status, out = capture(capsys, ["gallery-verify", "--name", "cayley"])
+    assert status == 1
+    data = json.loads(out)
+    assert data["pass"] is False
+    assert data["witness"] == {"transforms_tried": [
+        "identity", "swap x,y", "y -> -y", "swap and y -> -y"]}
+
+
 def test_gallery_verify_passes(capsys):
     for name in ("eisenstein", "feler6", "model"):
         status, out = capture(capsys, ["gallery-verify", "--name", name])

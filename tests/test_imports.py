@@ -19,20 +19,26 @@ from confspace.cli import build_parser
 
 SRC = Path(confspace.__file__).resolve().parent.parent
 
-# prints the layers loaded after importing the CLI and after running argv
+# prints the layers and heavy standard modules loaded after importing the
+# CLI and after running argv
 _PROBE = """
 import io, json, sys
 import confspace.cli
+
+HEAVY = ("dataclasses", "decimal", "fractions")
 
 def layers():
     return sorted(m.split(".", 1)[1] for m in sys.modules
                   if m.startswith("confspace.") and m != "confspace.cli")
 
-seen = {"import": [layers(), "dataclasses" in sys.modules]}
+def heavy():
+    return [m for m in HEAVY if m in sys.modules]
+
+seen = {"import": [layers(), heavy()]}
 out, sys.stdout = sys.stdout, io.StringIO()
 status = confspace.cli.run(sys.argv[1:])
 sys.stdout = out
-seen["run"] = [layers(), "dataclasses" in sys.modules]
+seen["run"] = [layers(), heavy()]
 seen["status"] = status
 print(json.dumps(seen))
 """
@@ -46,29 +52,31 @@ def _probe(argv):
 
 
 BRAID = ["braid"]
-RATIOS = ["homology", "polyring", "ratios"]
-LAYERS = {"braid-equal": BRAID, "braid-search": BRAID,
-          "braid-gallery": BRAID, "disc": ["polyring"],
-          "gallery-verify": ["morphisms", "polyring"], "complex": RATIOS,
-          "abc": RATIOS}
 
 
-@pytest.mark.parametrize("argv", [
-    ["braid-equal", "--n", "4", "--lhs", "1 2 -1 3", "--rhs", "-2 1 2 3"],
-    ["braid-search", "--n", "4", "--k", "3"],
-    ["braid-gallery", "--name", "nu6"],
-    ["disc", "--n", "3"],
-    ["gallery-verify", "--name", "cayley", "--trials", "2"],
-    ["complex", "--n", "5", "--family", "cr", "--homology"],
-    ["abc", "--n", "4", "--bound", "1"],
-], ids=lambda argv: argv[0])
-def test_each_verb_loads_only_its_layers(argv):
+@pytest.mark.parametrize("argv, layers", [
+    pytest.param(["braid-equal", "--n", "4", "--lhs", "1 2 -1 3",
+                  "--rhs", "-2 1 2 3"], BRAID, id="braid-equal"),
+    pytest.param(["braid-search", "--n", "4", "--k", "3"], BRAID,
+                 id="braid-search"),
+    pytest.param(["braid-gallery", "--name", "nu6"], BRAID,
+                 id="braid-gallery"),
+    pytest.param(["disc", "--n", "3"], ["polyring"], id="disc"),
+    pytest.param(["gallery-verify", "--name", "cayley", "--trials", "2"],
+                 ["morphisms", "polyring"], id="gallery-verify"),
+    pytest.param(["complex", "--n", "5", "--family", "cr", "--homology"],
+                 ["homology", "ratios"], id="complex"),
+    pytest.param(["complex", "--n", "5", "--family", "cr", "--orbits", "1"],
+                 ["ratios"], id="complex-without-homology"),
+    pytest.param(["abc", "--n", "4", "--bound", "1"], ["polyring", "ratios"],
+                 id="abc"),
+])
+def test_each_verb_loads_only_its_layers(argv, layers):
     seen = _probe(argv)
-    assert seen["import"] == [[], False]
+    assert seen["import"] == [[], []]
     assert seen["status"] == 0
-    assert seen["run"][0] == LAYERS[argv[0]]
-    if LAYERS[argv[0]] == BRAID:
-        assert seen["run"][1] is False
+    assert seen["run"][0] == layers
+    assert "dataclasses" not in seen["run"][1]
 
 
 def test_gallery_names_match_the_checks():

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -16,6 +18,7 @@ from confspace.morphisms import (
     Config,
     FELER_NINE_CONSTANT,
     FormalSqrt,
+    MoebiusMap,
     QuadExt,
     cayley_comparison,
     cayley_eisenstein,
@@ -56,6 +59,12 @@ Z = tuple(MultiPoly.var("z%d" % i) for i in range(4))
 def test_config_rejects_repeats():
     with pytest.raises(ValueError):
         Config((1, 2, 1))
+    with pytest.raises(ValueError) as err:
+        Config((QuadExt.sqrt(2), 1, QuadExt.of(0, 1, 2)))
+    assert str(err.value) == "configuration points must be distinct"
+    cfg = Config((1, Fraction(1, 2)))
+    assert cfg.points == (Fraction(1), Fraction(1, 2))
+    assert all(isinstance(p, Fraction) for p in cfg.points)
 
 
 def test_quad_ext_arithmetic():
@@ -66,6 +75,67 @@ def test_quad_ext_arithmetic():
     assert (x + y) == QuadExt.of(Fraction(3, 2), 1, 3)
     assert (x * y).a == Fraction(1, 2) - 6
     assert (2 - s * s) == QuadExt.of(-1)
+
+
+def _morphism_values():
+    """(value, an equal value built from equal fields, a different value,
+    the tuple of its fields)."""
+    b, u, v = MultiPoly.var("b"), MultiPoly.zero(), MultiPoly.one()
+    return [
+        (QuadExt.of(Fraction(1, 2), 2, 3), QuadExt(Fraction(1, 2), 2, 3),
+         QuadExt.of(Fraction(1, 2), 2, 5), None),
+        (Config((1, Fraction(1, 2))), Config((Fraction(1), Fraction(1, 2))),
+         Config((Fraction(1, 2), 1)), ((Fraction(1), Fraction(1, 2)),)),
+        (FormalSqrt(b, u, v), FormalSqrt(base=b, u=u, v=v),
+         FormalSqrt(b, v, u), (b, u, v)),
+        (MoebiusMap(1, 2, 3, 4), MoebiusMap(1, 2, 3, 4, denominator=1),
+         MoebiusMap(1, 2, 3, 4, 5), (1, 2, 3, 4, 1)),
+    ]
+
+
+@pytest.mark.parametrize("value, same, other, fields", _morphism_values(),
+                         ids=lambda v: type(v).__name__)
+def test_morphism_value_types_compare_by_fields(value, same, other, fields):
+    assert value == same and not value != same
+    assert hash(value) == hash(same)
+    assert value != other and not value == other
+    assert len({value, same, other}) == 2
+    if fields is not None:  # QuadExt compares with numbers, not tuples
+        assert hash(value) == hash(fields)
+        assert value != fields and not value == fields
+    assert copy.copy(value) == value and copy.deepcopy(value) == value
+    assert pickle.loads(pickle.dumps(value)) == value
+    before = repr(value)
+    for name in ("a", "b", "d", "points", "base", "u", "denominator",
+                 "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert repr(value) == before
+
+
+def test_morphism_value_type_reprs():
+    assert repr(QuadExt.of(Fraction(1, 2), 2, 3)) == (
+        "QuadExt(a=Fraction(1, 2), b=Fraction(2, 1), d=3)")
+    assert repr(Config((1, QuadExt.sqrt(2)))) == (
+        "Config(points=(Fraction(1, 1), "
+        "QuadExt(a=Fraction(0, 1), b=Fraction(1, 1), d=2)))")
+    assert repr(FormalSqrt(MultiPoly.var("b"), MultiPoly.zero(),
+                           MultiPoly.one())) == "FormalSqrt(base=b, u=0, v=1)"
+    assert repr(MoebiusMap(1, 2, 3, 4)) == (
+        "MoebiusMap(a=1, b=2, c=3, d=4, denominator=1)")
+
+
+def test_moebius_map_default_denominator():
+    assert MoebiusMap(1, 2, 3, 4).denominator == 1
+    assert MoebiusMap(1, 2, 3, 4, 7).denominator == 7
+
+
+def test_quad_ext_equality_ignores_radicand_of_rationals():
+    assert QuadExt.of(3, 0, 2) == QuadExt.of(3, 0, 5) == 3
+    assert hash(QuadExt.of(3, 0, 2)) == hash(QuadExt.of(3, 0, 5))
+    assert QuadExt.of(3, 1, 2) != QuadExt.of(3, 1, 5)
 
 
 def test_quad_ext_negative_power_refused():

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import json
+import pickle
 import random
 from fractions import Fraction
 from math import comb
@@ -53,6 +55,81 @@ def test_vertex_validation():
     with pytest.raises(ValueError):
         RatioVertex("cr", (2, 1, 3, 4))  # not Klein-canonical
     assert cr_vertex(2, 1, 3, 4) == RatioVertex("cr", klein_canonical((2, 1, 3, 4)))
+
+
+def test_vertex_validation_messages():
+    for args, message in ((("xx", (1, 2, 3)), "kind must be 'sr' or 'cr'"),
+                          (("sr", (1, 2)), "sr vertex needs 3 indices"),
+                          (("cr", (1, 2, 3)), "cr vertex needs 4 indices"),
+                          (("sr", (1, 1, 2)),
+                           "indices must be pairwise distinct"),
+                          (("sr", (0, 1, 2)), "indices must be positive"),
+                          (("cr", (2, 1, 3, 4)),
+                           "cross-ratio indices must be Klein-canonical")):
+        with pytest.raises(ValueError) as err:
+            RatioVertex(*args)
+        assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        DiffProduct(2, ())
+    assert str(err.value) == "scalar must be +1 or -1"
+
+
+def _ratio_values():
+    """(value, an equal value built from equal fields, a different value,
+    the tuple of its fields)."""
+    dp = (((1, 2), 1), ((2, 3), -1))
+    return [
+        (sr_vertex(1, 2, 3), RatioVertex("sr", (1, 2, 3)),
+         sr_vertex(2, 1, 3), ("sr", (1, 2, 3))),
+        (cr_vertex(1, 2, 3, 4), RatioVertex(kind="cr", indices=(1, 2, 3, 4)),
+         cr_vertex(1, 2, 4, 3), ("cr", (1, 2, 3, 4))),
+        (DiffProduct(1, dp), DiffProduct(scalar=1, powers=dp),
+         DiffProduct(-1, dp), (1, dp)),
+    ]
+
+
+@pytest.mark.parametrize("value, same, other, fields", _ratio_values(),
+                         ids=lambda v: type(v).__name__)
+def test_ratio_value_types_compare_by_fields(value, same, other, fields):
+    assert value == same and not value != same
+    assert hash(value) == hash(same) == hash(fields)
+    assert value != other and not value == other
+    assert value != fields and not value == fields
+    assert len({value, same, other}) == 2
+    assert copy.copy(value) == value and copy.deepcopy(value) == value
+    assert pickle.loads(pickle.dumps(value)) == value
+    before = repr(value)
+    for name in ("kind", "indices", "scalar", "powers", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert repr(value) == before
+
+
+def test_ratio_value_type_reprs():
+    assert repr(sr_vertex(1, 2, 3)) == "RatioVertex(kind='sr', indices=(1, 2, 3))"
+    assert repr(cr_vertex(2, 1, 4, 3)) == (
+        "RatioVertex(kind='cr', indices=(1, 2, 3, 4))")
+    assert repr(DiffProduct(-1, (((1, 2), 1),))) == (
+        "DiffProduct(scalar=-1, powers=(((1, 2), 1),))")
+    assert repr(DiffProduct(1, ())) == "DiffProduct(scalar=1, powers=())"
+
+
+def test_vertices_order_as_kind_then_indices():
+    vs = catalogue(5, "l")
+    random.Random(3).shuffle(vs)
+    for v, w in itertools.product(vs[:40], repeat=2):
+        key_v, key_w = (v.kind, v.indices), (w.kind, w.indices)
+        assert (v < w) == (key_v < key_w)
+        assert (v <= w) == (key_v <= key_w)
+        assert (v > w) == (key_v > key_w)
+        assert (v >= w) == (key_v >= key_w)
+    assert sorted(vs) == sorted(vs, key=lambda v: (v.kind, v.indices))
+    with pytest.raises(TypeError):
+        sr_vertex(1, 2, 3) < ("sr", (1, 2, 3))
+    with pytest.raises(TypeError):
+        DiffProduct(1, ()) < DiffProduct(-1, ())
 
 
 def test_simple_ratio_diff_product():
