@@ -525,6 +525,15 @@ def hom_properties(h):
     }
 
 
+def _braids(s, t):
+    """Whether s * t * s == t * s * t, compared point by point up to the
+    first point where they differ."""
+    for x in range(len(s)):
+        if s[t[s[x]]] != t[s[t[x]]]:
+            return False
+    return True
+
+
 def _hom_images(s, a, n, braids):
     """Generator images of the homomorphism sending generator 1 to s and
     the descending product to a, or None if the pair is inconsistent.
@@ -545,8 +554,7 @@ def _hom_images(s, a, n, braids):
         if j == 1:
             ok = braids.get(t)
             if ok is None:
-                ok = braids[t] = (_pmul(_pmul(s, t), s)
-                                  == _pmul(_pmul(t, s), t))
+                ok = braids[t] = _braids(s, t)
             if not ok:
                 return None
         elif _pmul(s, t) != _pmul(t, s):
@@ -733,29 +741,51 @@ def _conjugators(s, t):
     return out
 
 
+def _conjugates(p, group):
+    """c * p * c^-1 for each (c, c^-1) pair of group."""
+    return (_pmul(_pmul(c, p), cinv) for c, cinv in group)
+
+
+def _orbit_minima(points, group):
+    """The least point of each orbit of group, given as (c, c^-1) pairs,
+    acting by conjugation on points, which are sorted and closed under
+    that action."""
+    seen = set()
+    out = []
+    for t in points:
+        if t not in seen:
+            out.append(t)
+            seen.update(_conjugates(t, group))
+    return out
+
+
 def search_homs(n, k, include_cyclic=True):
     """Conjugacy classes of homomorphisms into S(k), exhaustively.
 
     Every homomorphism is determined by the image pair (generator 1, full
     descending product); up to conjugacy the first image can be fixed to a
     cycle-type representative s.  The image of generator 2 is then
-    t = a * s * a^-1 for the product image a, and it must braid with s.  So
-    only those a are listed: for each t != s of the class of s with
-    sts = tst, the conjugators carrying s to t; and for t = s, where a
-    commutes with s, every image is s and the product forces a = s^(n-1).
-    Every other a fails the braid relation of images 1 and 2 or the product,
-    so the listing is exhaustive.  Each candidate still goes through every
-    relation check, and each homomorphism that passes is filed under its
-    conjugacy key; the first one seen, in lexicographic order of a per
-    representative, represents its class, and properties are computed once
-    per class.  Classes come back deterministically sorted and labeled.
+    t = a * s * a^-1 for the product image a, and it must braid with s; for
+    t = s, where a commutes with s, every image is s and the product forces
+    a = s^(n-1).  Conjugation by c in the centraliser C(s) keeps image 1 at
+    s and sends image 2 to c * t * c^-1, so up to conjugacy t can be fixed
+    too: only the least t != s of each C(s)-orbit of partners (the t of the
+    class of s with sts = tst) is kept, and only the conjugators carrying s
+    to it are listed.  Each candidate still goes through every relation
+    check, and each homomorphism that passes is filed under its conjugacy
+    key.  The homomorphisms of one class with image 1 = s are the
+    C(s)-conjugates of any one of them, so the class is represented by the
+    least product image c * a * c^-1 over C(s), and properties are computed
+    once per class.  Classes come back deterministically sorted and
+    labeled.
     """
-    # n = k = 8, the slowest case, takes about 2 s for one CLI call (median
-    # of 5, 1.8-2.5 s, 24 MiB; 2 CPUs, Python 3.11.7); k = 9 is unmeasured
+    # n = k = 8, the slowest case, takes about 0.9 s for one CLI call
+    # (median of 5, 0.84-0.87 s, 23 MiB; 2 CPUs, Python 3.11.7); k = 9 is
+    # unmeasured
     if k > 8:
         raise CapacityError(
             "exhaustive search supported for k <= 8, the measured budget "
-            "(the slowest case measured, n = k = 8, takes about 2 s)")
+            "(the slowest case measured, n = k = 8, takes about 0.9 s)")
     if n < 3:
         raise ValueError("need at least three strands")
     # one pass over S(k): the t != s of each representative's class that
@@ -764,7 +794,7 @@ def search_homs(n, k, include_cyclic=True):
                 for rep in conjugacy_class_reps(k)}
     for t in itertools.permutations(range(k)):
         s, found = partners[_cycle_type(t)]
-        if t != s and _pmul(_pmul(s, t), s) == _pmul(_pmul(t, s), t):
+        if t != s and _braids(s, t):
             found.append(t)
     classes = {}
     for s, found in partners.values():
@@ -772,14 +802,22 @@ def search_homs(n, k, include_cyclic=True):
         for _ in range(n - 2):
             power = _pmul(power, s)
         candidates = [power]
-        for t in found:
-            candidates += _conjugators(s, t)
+        # C(s) is listed only for a non-empty found: for s = identity it
+        # would be all of S(k), and found is empty there
+        centraliser = []
+        if found:
+            centraliser = [(c, _pinv(c)) for c in _conjugators(s, s)]
+            for t in _orbit_minima(found, centraliser):
+                candidates += _conjugators(s, t)
         braids = {}
-        for a in sorted(candidates):
+        for a in candidates:
             images = _hom_images(s, a, n, braids)
             if images is not None and (include_cyclic
                                        or not _all_equal(images)):
-                classes.setdefault(_conjugacy_key(images, k), images)
+                key = _conjugacy_key(images, k)
+                if key not in classes:
+                    least = min(_conjugates(a, centraliser), default=a)
+                    classes[key] = _hom_images(s, least, n, braids)
     alpha = alpha_word(n).letters
 
     def sort_key(images):

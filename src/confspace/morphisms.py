@@ -15,6 +15,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Rational
 
 from . import _frozen, _undeletable
 from .polyring import (
@@ -102,7 +103,12 @@ class QuadExt:
         return self.a == 0 and self.b == 0
 
     def __eq__(self, other):
-        o = self._lift(other) if not isinstance(other, QuadExt) else other
+        if isinstance(other, QuadExt):
+            o = other
+        elif isinstance(other, Rational):
+            o = self._lift(other)
+        else:
+            return NotImplemented
         if self.b == o.b == 0:
             return self.a == o.a
         return self.a == o.a and self.b == o.b and self.d == o.d

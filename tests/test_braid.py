@@ -39,6 +39,7 @@ from confspace.braid import (
     _conjugacy_key,
     _conjugators,
     _cycle_type,
+    _orbit_minima,
     _pinv,
     _pmul,
     _tuple,
@@ -591,7 +592,8 @@ def test_search_matches_pairwise_oracle(n, k):
 @pytest.mark.parametrize(
     "n,k",
     [(n, k) for n in range(3, 9) for k in range(1, 7)]
-    + [(n, 7) for n in (3, 4, 6, 7)])
+    + [(n, 7) for n in (3, 4, 6, 7)]
+    + [(n, 7) for n in (5, 8)])
 def test_search_matches_full_scan(n, k):
     # the listed alpha-images find the same classes, representatives and
     # order as the scan of all of S(k)
@@ -614,6 +616,37 @@ def test_conjugators_are_a_coset_of_the_centraliser(k):
             listed = _conjugators(s, t)
             assert len(listed) == len(set(listed)) == len(coset[s])
             assert set(listed) == expected
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_partners_kept_one_per_centraliser_orbit(k):
+    perms = list(itertools.permutations(range(k)))
+    for rep in conjugacy_class_reps(k):
+        s = _tuple(rep)
+        found = [t for t in perms
+                 if t != s and _cycle_type(t) == _cycle_type(s)
+                 and _pmul(_pmul(s, t), s) == _pmul(_pmul(t, s), t)]
+        centraliser = [c for c in perms if _pmul(_pmul(c, s), _pinv(c)) == s]
+        kept = _orbit_minima(
+            found, [(c, _pinv(c)) for c in _conjugators(s, s)])
+        orbits = [{_pmul(_pmul(c, t), _pinv(c)) for c in centraliser}
+                  for t in kept]
+        # each kept partner is the least of its orbit, and the orbits are
+        # disjoint and cover found
+        assert [min(orbit) for orbit in orbits] == kept
+        assert sum(map(len, orbits)) == len(found)
+        assert set().union(*orbits) == set(found)
+
+
+def test_artin_eight_eight():
+    # Artin: for n = 5 and n > 6 every transitive non-cyclic homomorphism
+    # B_n -> S_n is conjugate to the standard one, onto S_n
+    classes = search_homs(8, 8)
+    assert len(classes) == 23
+    nct = [c for c in classes if not c["cyclic"] and c["transitive"]]
+    assert len(nct) == 1
+    assert are_conjugate(nct[0]["hom"], standard_mu(8)) is not None
+    assert nct[0]["image_order"] == 40320
 
 
 # -- Lin, "Braids and permutations" (arXiv math/0404528) ---------------------

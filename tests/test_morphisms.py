@@ -138,6 +138,17 @@ def test_quad_ext_equality_ignores_radicand_of_rationals():
     assert QuadExt.of(3, 1, 2) != QuadExt.of(3, 1, 5)
 
 
+def test_quad_ext_against_other_types_is_unequal():
+    one = QuadExt.of(1)
+    assert one == 1 and one == Fraction(1) and one != 2
+    assert not one == (1,) and one != (1,) and one != "x"
+    # (1, 0, 0) hashes like QuadExt.of(1), so the dict compares the keys
+    assert hash(one) == hash((1, 0, 0))
+    table = {(1, 0, 0): "tuple", one: "quad"}
+    assert len(table) == 2
+    assert table[(1, 0, 0)] == "tuple" and table[QuadExt.of(1)] == "quad"
+
+
 def test_quad_ext_negative_power_refused():
     s = QuadExt.sqrt(2)
     assert s ** 0 == 1 and s ** 2 == 2
