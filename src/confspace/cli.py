@@ -152,8 +152,9 @@ def _cmd_braid_gallery(args):
 
 
 # the sampled gallery checks take time linear in the trial count; at this
-# cap the slowest, ferrari, takes about 3.5 s for one CLI call and feler9
-# about 0.3 s (2 CPUs, Python 3.11.7)
+# cap the slowest, tame-eisenstein, takes about 1.0 s for one CLI call
+# (median of 5, 0.93-1.31 s), covering 0.55 s and ferrari 0.19 s (2 CPUs,
+# Python 3.11.7)
 _TRIALS_LIMIT = 2000
 
 
@@ -164,8 +165,8 @@ def _cmd_gallery_verify(args):
 
     if args.trials > _TRIALS_LIMIT:
         raise CapacityError(
-            "gallery-verify capped at %d trials (ferrari, the slowest, "
-            "takes about 3.5 s at the cap), got %d"
+            "gallery-verify capped at %d trials (tame-eisenstein, the "
+            "slowest, takes about 1 s at the cap), got %d"
             % (_TRIALS_LIMIT, args.trials))
     rng = random.Random(args.seed)
     check = morphisms.GALLERY_CHECKS[args.name]
@@ -174,8 +175,8 @@ def _cmd_gallery_verify(args):
 
 
 # disc expands the discriminant symbolically; n = 7 (1103 terms) takes about
-# 2.3 s for one CLI call in either kind (median of 5, 2.1-2.8 s), and monic
-# n = 8 about 100 s in-process (2 CPUs, Python 3.11.7)
+# 0.5 s for one CLI call in either kind (medians of 5: 0.54 s monic, 0.44 s
+# projective), and monic n = 8 about 14 s in-process (2 CPUs, Python 3.11.7)
 _DISC_DEGREE_LIMIT = 7
 
 
@@ -185,7 +186,7 @@ def _cmd_disc(args):
     if args.n > _DISC_DEGREE_LIMIT:
         raise CapacityError(
             "symbolic discriminants capped at n = %d (n = 7 takes about "
-            "2.3 s, n = 8 about 100 s), got n = %d"
+            "0.5 s, n = 8 about 14 s), got n = %d"
             % (_DISC_DEGREE_LIMIT, args.n))
     if args.projective:
         poly = polyring.discriminant_projective(args.n)

@@ -12,6 +12,7 @@ the ring and at sampled integer cubics; no check uses floating point.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -114,8 +115,8 @@ class QuadExt:
         return self.a == o.a and self.b == o.b and self.d == o.d
 
     def __hash__(self):
-        # the radicand is immaterial when the root coefficient vanishes
-        return hash((self.a, self.b, self.d if self.b else 0))
+        # with no root part the value is the rational a, and equals it
+        return hash((self.a, self.b, self.d)) if self.b else hash(self.a)
 
 
 def _exact(x):
@@ -195,26 +196,24 @@ def discriminant_value(points):
 # ---------------------------------------------------------------------------
 
 
+def _resolvent_times_4(q1, q2, q3, q4):
+    return ((q1 - q2 - q3 + q4) ** 2, (q1 - q2 + q3 - q4) ** 2,
+            (q1 + q2 - q3 - q4) ** 2)
+
+
 def ferrari(config):
     """Three-point resolvent of a four-point configuration."""
     if len(config) != 4:
         raise ValueError("needs exactly four points")
-    q1, q2, q3, q4 = config.points
     quarter = Fraction(1, 4)
-    z1 = (q1 - q2 - q3 + q4) ** 2 * quarter
-    z2 = (q1 - q2 + q3 - q4) ** 2 * quarter
-    z3 = (q1 + q2 - q3 - q4) ** 2 * quarter
-    return Config((z1, z2, z3))
+    return Config(tuple(z * quarter
+                        for z in _resolvent_times_4(*config.points)))
 
 
 def ferrari_symbolic():
     """The three resolvent coordinates as polynomials in q1..q4, times 4."""
-    q = [MultiPoly.var("q%d" % i) for i in range(1, 5)]
-    return (
-        (q[0] - q[1] - q[2] + q[3]) ** 2,
-        (q[0] - q[1] + q[2] - q[3]) ** 2,
-        (q[0] + q[1] - q[2] - q[3]) ** 2,
-    )
+    return _resolvent_times_4(*(MultiPoly.var("q%d" % i)
+                                for i in range(1, 5)))
 
 
 def ferrari_induced_permutation(sigma, config):
@@ -739,38 +738,6 @@ def covering_point(config, m):
 
 
 # ---------------------------------------------------------------------------
-# exact identity testing
-# ---------------------------------------------------------------------------
-
-
-def identity_report(lhs, rhs, trials=20, rng=None):
-    """Exact check that two polynomials agree.
-
-    Tries symbolic equality first; otherwise evaluates the difference at
-    uniform integer points of [-_SAMPLE_BOUND, _SAMPLE_BOUND].  With total
-    degree D the chance of a wrong identity surviving t trials is at most
-    (D / (2*_SAMPLE_BOUND))^t.
-    """
-    if lhs == rhs:
-        return {"pass": True, "mode": "symbolic", "trials": 0,
-                "witness": None}
-    rng = rng or random.Random(0)
-    names = sorted(set(lhs.variables()) | set(rhs.variables()))
-    for t in range(trials):
-        point = {v: rng.randint(-_SAMPLE_BOUND, _SAMPLE_BOUND)
-                 for v in names}
-        if lhs.evaluate(point) != rhs.evaluate(point):
-            return {"pass": False, "mode": "sampled", "trials": t + 1,
-                    "witness": point}
-    return {"pass": True, "mode": "sampled", "trials": trials,
-            "witness": None}
-
-
-def verify_identity(lhs, rhs, trials=20, rng=None):
-    return identity_report(lhs, rhs, trials, rng)["pass"]
-
-
-# ---------------------------------------------------------------------------
 # the action of the fractional-linear involution on roots
 # ---------------------------------------------------------------------------
 
@@ -886,18 +853,21 @@ def _verify_ferrari(trials, rng, symbolic):
         and f1 - f3 == 4 * (q[0] - q[2]) * (q[3] - q[1])
         and f2 - f3 == 4 * (q[1] - q[2]) * (q[3] - q[0])
     )
+    # times the lcm L of their denominators the points are ints, and the
+    # resolvent of those is 4 L^2 times theirs: a common factor, which keeps
+    # the comparison of the sets
     for _ in range(trials):
-        pts = []
-        while len(set(pts)) != 4:
-            pts = [Fraction(rng.randint(-50, 50), rng.randint(1, 9))
-                   for _ in range(4)]
-        base = set(ferrari(Config(tuple(pts))).points)
-        for sigma in itertools.permutations((1, 2, 3, 4)):
-            moved = ferrari(Config(tuple(pts[sigma[i] - 1]
-                                         for i in range(4))))
-            if set(moved.points) != base:
+        scaled = ()
+        while len(set(scaled)) != 4:
+            fracs = [(rng.randint(-50, 50), rng.randint(1, 9))
+                     for _ in range(4)]
+            lcm = math.lcm(*(den for _, den in fracs))
+            scaled = [num * (lcm // den) for num, den in fracs]
+        base = set(_resolvent_times_4(*scaled))
+        for sigma in itertools.permutations(scaled):
+            if set(_resolvent_times_4(*sigma)) != base:
                 return _report(False, "symbolic+sampled", trials,
-                               [str(p) for p in pts])
+                               [str(Fraction(*p)) for p in fracs])
     return _report(factors_ok, "symbolic+sampled", trials)
 
 

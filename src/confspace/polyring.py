@@ -460,7 +460,7 @@ def bareiss_det(matrix):
     """Fraction-free determinant of a square matrix.
 
     Entries may be ints or MultiPoly values (mixed is fine).  Uses the
-    two-step Bareiss recurrence with row pivoting; every division is
+    one-step Bareiss recurrence with row pivoting; every division is
     exact, so no fractions ever appear.  With any MultiPoly entry the
     recurrence runs on packed polynomials: every intermediate entry is a
     minor, of degree at most the sum S of the row degrees, so each
@@ -619,34 +619,49 @@ def resultant(f, g):
     return bareiss_det(sylvester_matrix(fc, gc))
 
 
-def _disc_matrix(coeffs):
-    """Discriminant determinant matrix for a degree-n coefficient sequence.
+def discriminant_of(coeffs):
+    """Discriminant of the binary form with the given coefficients.
 
-    This is the Sylvester matrix of the form and its x-derivative with the
-    leading coefficient factored out of the first column, so the
-    determinant is homogeneous of degree 2(n-1) in the coefficients and no
-    division is needed even when the leading coefficient vanishes.
+    For f = sum c_i x^(n-i) y^i, take u(t) = f_x(1, t) and v(t) = f_y(1, t).
+    Their Bezout matrix, (s - t) sum B_ij s^i t^j = u(s) v(t) - u(t) v(s),
+    is (n-1)x(n-1) with entries bilinear in the coefficients, and
+    det B = Res(f_x, f_y) = n^(n-2) times the standard discriminant
+    (Gelfand-Kapranov-Zelevinsky, ch. 12).  Every step is homogeneous, so
+    the result has degree 2(n-1) and stays exact where the leading
+    coefficient vanishes.  The sign is (-1)^(n(n-1)/2) times the standard
+    one, that of the Sylvester determinant of f and f' with the leading
+    coefficient factored out: for t^2 + w1*t + w2 this yields 4*w2 - w1^2.
+    The result is an int when every coefficient is an int, otherwise a
+    MultiPoly.
     """
     coeffs = list(coeffs)
     n = len(coeffs) - 1
     if n < 1:
         raise ValueError("degree must be at least 1")
-    deriv = [(n - i) * c if isinstance(c, int) else c * (n - i)
-             for i, c in enumerate(coeffs[:-1])]
-    mat = sylvester_matrix(coeffs, deriv)
-    one = 1 if isinstance(coeffs[0], int) else MultiPoly.one()
-    mat[0][0] = one
-    mat[n - 1][0] = n * one if isinstance(one, int) else one * n
-    return mat
-
-
-def discriminant_of(coeffs):
-    """Discriminant of the binary form with the given coefficients.
-
-    Sign convention comes from the factored Sylvester determinant: for
-    t^2 + w1*t + w2 this yields 4*w2 - w1^2.
-    """
-    return bareiss_det(_disc_matrix(coeffs))
+    if n == 1:
+        ints = all(isinstance(c, int) for c in coeffs)
+        return 1 if ints else MultiPoly.one()
+    # coefficients of u and v, by ascending power of t
+    u = [c * (n - i) for i, c in enumerate(coeffs[:-1])]
+    v = [c * i for i, c in enumerate(coeffs) if i]
+    size = n - 1
+    bez = [[0] * size for _ in range(size)]
+    for i in reversed(range(size)):
+        for j in range(size):
+            # B_ij = [i + 1, j] + B_(i+1)(j-1), with [a, b] = u_a v_b - u_b v_a
+            entry = u[i + 1] * v[j] - u[j] * v[i + 1]
+            if i + 1 < size and j:
+                entry = entry + bez[i + 1][j - 1]
+            bez[i][j] = entry
+    det = bareiss_det(bez)
+    scale = n ** (n - 2)
+    if isinstance(det, MultiPoly):
+        det = det.scalar_divide(scale)
+    else:
+        det, r = divmod(det, scale)
+        if r:
+            raise ValueError("Bezout determinant not divisible by %d" % scale)
+    return -det if n * (n - 1) // 2 % 2 else det
 
 
 @lru_cache(maxsize=None)

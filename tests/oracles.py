@@ -12,8 +12,11 @@ sweeps over the whole factor list, ratio complexes by a pairwise
 divisibility scan, the action of the fractional-linear involution by
 floating-point root matching, three-term product identities by solving
 every candidate triple, integer resultants and discriminants by a
-subresultant remainder sequence, the degree-9 form discriminant by
-expanding the form and running that sequence.
+subresultant remainder sequence, discriminants also by the Sylvester
+determinant of the form and its derivative, the degree-9 form
+discriminant by expanding the form and running that sequence, the
+ferrari check on Fraction points and Config values, and polynomial
+identities by symbolic comparison with a sampled fallback.
 """
 
 import random
@@ -48,11 +51,15 @@ from confspace.braid import (
 )
 from confspace.morphisms import (
     _SAMPLE_BOUND,
+    Config,
+    _report,
     eisenstein,
     feler_nine_rhs_value,
+    ferrari,
+    ferrari_symbolic,
     hesse_cubic_discriminant,
 )
-from confspace.polyring import MultiPoly, _disc_matrix, bareiss_det
+from confspace.polyring import MultiPoly, bareiss_det, sylvester_matrix
 from confspace.ratios import (
     RatioVertex,
     _classify_triple,
@@ -540,6 +547,59 @@ def canonical_form_sweep(w):
     return CanonicalBraid(n, inf, factors)
 
 
+def identity_report(lhs, rhs, trials=20, rng=None):
+    """Exact check that two polynomials agree.
+
+    Tries symbolic equality first; otherwise evaluates the difference at
+    uniform integer points of [-_SAMPLE_BOUND, _SAMPLE_BOUND].  With total
+    degree D the chance of a wrong identity surviving t trials is at most
+    (D / (2*_SAMPLE_BOUND))^t.
+    """
+    if lhs == rhs:
+        return {"pass": True, "mode": "symbolic", "trials": 0,
+                "witness": None}
+    rng = rng or random.Random(0)
+    names = sorted(set(lhs.variables()) | set(rhs.variables()))
+    for t in range(trials):
+        point = {v: rng.randint(-_SAMPLE_BOUND, _SAMPLE_BOUND)
+                 for v in names}
+        if lhs.evaluate(point) != rhs.evaluate(point):
+            return {"pass": False, "mode": "sampled", "trials": t + 1,
+                    "witness": point}
+    return {"pass": True, "mode": "sampled", "trials": trials,
+            "witness": None}
+
+
+def verify_identity(lhs, rhs, trials=20, rng=None):
+    return identity_report(lhs, rhs, trials, rng)["pass"]
+
+
+def verify_ferrari_fractions(trials, rng, symbolic):
+    """The "ferrari" gallery check on Fraction points and Config values:
+    the same draws, distinctness check and report as
+    ``morphisms.GALLERY_CHECKS["ferrari"]``."""
+    f1, f2, f3 = ferrari_symbolic()
+    q = [MultiPoly.var("q%d" % i) for i in range(1, 5)]
+    factors_ok = (
+        f1 - f2 == 4 * (q[0] - q[1]) * (q[3] - q[2])
+        and f1 - f3 == 4 * (q[0] - q[2]) * (q[3] - q[1])
+        and f2 - f3 == 4 * (q[1] - q[2]) * (q[3] - q[0])
+    )
+    for _ in range(trials):
+        pts = []
+        while len(set(pts)) != 4:
+            pts = [Fraction(rng.randint(-50, 50), rng.randint(1, 9))
+                   for _ in range(4)]
+        base = set(ferrari(Config(tuple(pts))).points)
+        for sigma in permutations((1, 2, 3, 4)):
+            moved = ferrari(Config(tuple(pts[sigma[i] - 1]
+                                         for i in range(4))))
+            if set(moved.points) != base:
+                return _report(False, "symbolic+sampled", trials,
+                               [str(p) for p in pts])
+    return _report(factors_ok, "symbolic+sampled", trials)
+
+
 def tame_action_numeric(trials=20, rng=None, tol=1e-9):
     """The fractional-linear map carries the roots of a cubic onto the
     roots of its involution image: numpy roots matched within ``tol``.
@@ -685,6 +745,33 @@ def resultant_int(f, g):
             return s * _exact_quotient(b[0] ** da, h ** (da - 1))
 
 
+def _disc_matrix(coeffs):
+    """Discriminant determinant matrix for a degree-n coefficient sequence.
+
+    This is the Sylvester matrix of the form and its x-derivative with the
+    leading coefficient factored out of the first column, so the
+    determinant is homogeneous of degree 2(n-1) and no division is needed
+    even when the leading coefficient vanishes.
+    """
+    coeffs = list(coeffs)
+    n = len(coeffs) - 1
+    if n < 1:
+        raise ValueError("degree must be at least 1")
+    deriv = [(n - i) * c if isinstance(c, int) else c * (n - i)
+             for i, c in enumerate(coeffs[:-1])]
+    mat = sylvester_matrix(coeffs, deriv)
+    one = 1 if isinstance(coeffs[0], int) else MultiPoly.one()
+    mat[0][0] = one
+    mat[n - 1][0] = n * one if isinstance(one, int) else one * n
+    return mat
+
+
+def discriminant_sylvester(coeffs):
+    """discriminant_of by the (2n-1)x(2n-1) Sylvester determinant of the
+    form and its x-derivative, the leading coefficient factored out."""
+    return bareiss_det(_disc_matrix(coeffs))
+
+
 def discriminant_int(coeffs):
     """Value of the discriminant polynomial at integer coefficients.
 
@@ -694,7 +781,7 @@ def discriminant_int(coeffs):
     coeffs = list(coeffs)
     n = len(coeffs) - 1
     if coeffs[0] == 0:
-        return bareiss_det(_disc_matrix(coeffs))
+        return discriminant_sylvester(coeffs)
     deriv = [(n - i) * c for i, c in enumerate(coeffs[:-1])]
     res = resultant_int(coeffs, deriv)
     q, r = divmod(res, coeffs[0])

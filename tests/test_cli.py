@@ -6,7 +6,7 @@ import pytest
 
 from confspace import braid, morphisms, polyring, ratios
 from confspace.cli import run
-from oracles import feler_nine_sampled_expanded
+from oracles import feler_nine_sampled_expanded, verify_ferrari_fractions
 
 
 def capture(capsys, argv):
@@ -218,6 +218,35 @@ def test_feler9_sampled_stdout_matches_expanded_oracle(capsys):
                                rep["witness"])
     assert status == 0
     assert out == json.dumps({"name": "feler9", **report}) + "\n"
+
+
+@pytest.mark.parametrize("trials, seeds", [(20, range(10)), (2000, [3])])
+def test_ferrari_stdout_matches_fraction_oracle(capsys, trials, seeds):
+    # the int loop makes the oracle's draws and reaches its verdict
+    for seed in seeds:
+        status, out = capture(capsys, ["gallery-verify", "--name", "ferrari",
+                                       "--trials", str(trials),
+                                       "--seed", str(seed)])
+        oracle_rng = random.Random(seed)
+        report = verify_ferrari_fractions(trials, oracle_rng, False)
+        assert status == 0
+        assert out == json.dumps({"name": "ferrari", **report}) + "\n"
+        rng = random.Random(seed)
+        morphisms.GALLERY_CHECKS["ferrari"](trials, rng, False)
+        assert rng.getstate() == oracle_rng.getstate()
+
+
+def test_ferrari_failure_witness_matches_fraction_oracle(capsys, monkeypatch):
+    # a resolvent that is not symmetric in the points fails on the first
+    # draw in both routes, with that draw as the witness
+    monkeypatch.setattr(morphisms, "_resolvent_times_4",
+                        lambda q1, q2, q3, q4: (q1, q2, q3))
+    for seed in range(3):
+        status, out = capture(capsys, ["gallery-verify", "--name", "ferrari",
+                                       "--seed", str(seed)])
+        report = verify_ferrari_fractions(20, random.Random(seed), False)
+        assert status == 1 and report["pass"] is False
+        assert out == json.dumps({"name": "ferrari", **report}) + "\n"
 
 
 @pytest.mark.parametrize("name", ["eisenstein", "cayley", "tame-eisenstein"])

@@ -34,20 +34,21 @@ from confspace.morphisms import (
     ferrari_symbolic,
     hesse_cubic_discriminant,
     hesse_form,
-    identity_report,
     model_map,
     monic_from_roots,
     tame_action_check,
     tame_determinant_identity,
     tame_eisenstein,
-    verify_identity,
 )
 from oracles import (
     _nine_form_int_coeffs,
     discriminant_int,
+    discriminant_sylvester,
+    identity_report,
     nine_form_disc_expanded,
     resultant_int,
     tame_action_numeric,
+    verify_identity,
 )
 
 Z = tuple(MultiPoly.var("z%d" % i) for i in range(4))
@@ -142,11 +143,24 @@ def test_quad_ext_against_other_types_is_unequal():
     one = QuadExt.of(1)
     assert one == 1 and one == Fraction(1) and one != 2
     assert not one == (1,) and one != (1,) and one != "x"
-    # (1, 0, 0) hashes like QuadExt.of(1), so the dict compares the keys
-    assert hash(one) == hash((1, 0, 0))
-    table = {(1, 0, 0): "tuple", one: "quad"}
+    # with a root part the hash is that of the field tuple, so the dict
+    # compares the keys
+    root = QuadExt.of(1, 1, 2)
+    assert hash(root) == hash((1, 1, 2))
+    table = {(1, 1, 2): "tuple", root: "quad"}
     assert len(table) == 2
-    assert table[(1, 0, 0)] == "tuple" and table[QuadExt.of(1)] == "quad"
+    assert table[(1, 1, 2)] == "tuple" and table[QuadExt.of(1, 1, 2)] == "quad"
+
+
+def test_quad_ext_hash_agrees_with_rationals():
+    for a in (0, 1, -3, 10 ** 30, Fraction(1, 2), Fraction(-7, 3)):
+        q = QuadExt.of(a)
+        assert q == a and hash(q) == hash(a)
+        assert len({a, q}) == 1 and {a: "rational"}[q] == "rational"
+    # b = 0 with different radicands: equal, one set element, one dict key
+    p, q = QuadExt.of(Fraction(5, 4), 0, 2), QuadExt.of(Fraction(5, 4), 0, 7)
+    assert p == q and hash(p) == hash(q)
+    assert len({p, q, Fraction(5, 4)}) == 1
 
 
 def test_quad_ext_negative_power_refused():
@@ -246,6 +260,12 @@ def test_feler_sextic_discriminant_identity():
     from confspace.morphisms import feler_sextic_identity
     lhs, rhs = feler_sextic_identity()
     assert lhs == rhs
+
+
+def test_feler_sextic_discriminant_matches_sylvester():
+    # polynomial coefficients: the Bezout route against the Sylvester one
+    sextic = [MultiPoly.one(), *feler_L()]
+    assert discriminant_of(sextic) == discriminant_sylvester(sextic)
 
 
 def test_feler_sextic_resultant_is_unit_times_power():

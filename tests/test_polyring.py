@@ -12,6 +12,7 @@ from confspace.polyring import (
     cubic_discriminant,
     cubic_resultant,
     discriminant_monic,
+    discriminant_of,
     discriminant_projective,
     poly_eval,
     resultant,
@@ -20,6 +21,7 @@ from confspace.polyring import (
 from oracles import (
     cofactor_det,
     discriminant_int,
+    discriminant_sylvester,
     eval_terms,
     exact_divide_sorting,
     poly_gcd_degree,
@@ -158,18 +160,57 @@ def test_discriminant_rejects_low_degree():
 
 
 def test_projective_discriminant_homogeneous():
-    for n in range(2, 7):
+    for n in range(2, 8):
         D = discriminant_projective(n)
         assert D.is_homogeneous(2 * (n - 1))
 
 
 def test_projective_restricts_to_monic():
-    for n in range(2, 6):
+    for n in range(2, 8):
         D = discriminant_projective(n)
         subs = {"z0": MultiPoly.one()}
         subs.update({"z%d" % i: MultiPoly.var("w%d" % i)
                      for i in range(1, n + 1)})
         assert D.substitute(subs) == discriminant_monic(n)
+
+
+# integer forms of degree 1..9; hypothesis draws 0 often, so vanishing
+# leading (and trailing) coefficients are well covered
+_int_forms = st.integers(1, 9).flatmap(lambda n: st.lists(
+    st.integers(-10 ** 6, 10 ** 6) | st.integers(-3, 3),
+    min_size=n + 1, max_size=n + 1))
+
+
+@settings(deadline=None)
+@given(_int_forms)
+@example([0, 0, 5])
+@example([0, 0, 0, 0, 0, 0, 0, 0, 1, 1])
+@example([7, 0, 0, 0, 0, 0, 0, 0, 0, 0])
+def test_bezout_discriminant_matches_sylvester_on_integers(coeffs):
+    assert discriminant_of(coeffs) == discriminant_sylvester(coeffs)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_bezout_discriminant_with_vanishing_leading_coefficient(n):
+    zs = [MultiPoly.var("z%d" % i) for i in range(1, n + 1)]
+    for lead in (0, MultiPoly.zero()):
+        assert (discriminant_of([lead, *zs])
+                == discriminant_sylvester([lead, *zs]))
+
+
+def test_discriminant_type_follows_the_coefficients():
+    for n in range(1, 6):
+        coeffs = list(range(1, n + 2))
+        value = discriminant_of(coeffs)
+        assert type(value) is int and value == discriminant_sylvester(coeffs)
+        symbolic = discriminant_of([MultiPoly.const(c) for c in coeffs])
+        assert isinstance(symbolic, MultiPoly) and symbolic == value
+    assert discriminant_of([0, 0]) == 1
+    assert type(discriminant_of([3, 4])) is int
+    one = discriminant_of([X, Y])
+    assert isinstance(one, MultiPoly) and one == 1
+    with pytest.raises(ValueError):
+        discriminant_of([5])
 
 
 def test_full_sylvester_carries_leading_factor():
