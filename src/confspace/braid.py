@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from math import factorial, lcm
 
-from . import CapacityError, _frozen, _undeletable
+from . import CapacityError, _Value
 
 
 # ---------------------------------------------------------------------------
@@ -85,26 +85,16 @@ def _word_image(gens, letters, k):
     return p
 
 
-class Perm:
+class Perm(_Value):
     """A permutation of 1..k in one-line image notation (``images``)."""
 
     __slots__ = ("_t",)  # the 0-based image tuple of the kernel
-    __setattr__ = _frozen
-    __delattr__ = _undeletable
 
     def __init__(self, images):
         k = len(images)
         if sorted(images) != list(range(1, k + 1)):
             raise ValueError("not a bijection of 1..%d" % k)
         object.__setattr__(self, "_t", tuple(v - 1 for v in images))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._t == other._t
-
-    def __hash__(self):
-        return hash((self._t,))
 
     def __reduce__(self):
         return Perm, (self.images,)
@@ -208,12 +198,10 @@ def _partitions(k, largest=None):
 # ---------------------------------------------------------------------------
 
 
-class BraidWord:
+class BraidWord(_Value):
     """A word in the generators of the braid group on ``n`` strands."""
 
     __slots__ = ("n", "letters")
-    __setattr__ = _frozen
-    __delattr__ = _undeletable
 
     def __init__(self, n, letters):
         if n < 2:
@@ -224,20 +212,6 @@ class BraidWord:
                                  % (g, n))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "letters", letters)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.letters) == (other.n, other.letters)
-
-    def __hash__(self):
-        return hash((self.n, self.letters))
-
-    def __reduce__(self):
-        return BraidWord, (self.n, self.letters)
-
-    def __repr__(self):
-        return "BraidWord(n=%r, letters=%r)" % (self.n, self.letters)
 
     @classmethod
     def parse(cls, n, text):
@@ -316,27 +290,16 @@ def _left_weight(a, b):
     return (_pinv(ainv), tuple(b)) if moved else None
 
 
-class CanonicalBraid:
+class CanonicalBraid(_Value):
     """Left-weighted canonical form: infimum power of the half twist plus a
     sequence of permutation factors, none trivial, none the half twist."""
 
     __slots__ = ("n", "infimum", "factors")
 
     def __init__(self, n, infimum, factors):
-        self.n = n
-        self.infimum = infimum
-        self.factors = tuple(factors)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CanonicalBraid)
-            and self.n == other.n
-            and self.infimum == other.infimum
-            and self.factors == other.factors
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.infimum, self.factors))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "infimum", infimum)
+        object.__setattr__(self, "factors", tuple(factors))
 
     def __repr__(self):
         return "CanonicalBraid(n=%d, inf=%d, len=%d)" % (
@@ -413,13 +376,11 @@ ARTIN = "artin"
 SPHERE = "sphere"
 
 
-class SymHom:
+class SymHom(_Value):
     """A homomorphism from the n-strand group to S(k), by generator images
     (``images`` holds those of generators 1..n-1)."""
 
     __slots__ = ("n", "k", "images", "presentation")
-    __setattr__ = _frozen
-    __delattr__ = _undeletable
 
     def __init__(self, n, k, images, presentation=ARTIN):
         if n < 2 or k < 1:
@@ -432,24 +393,6 @@ class SymHom:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "presentation", presentation)
-
-    def _fields(self):
-        return (self.n, self.k, self.images, self.presentation)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __reduce__(self):
-        return SymHom, self._fields()
-
-    def __repr__(self):
-        return "SymHom(n=%r, k=%r, images=%r, presentation=%r)" % \
-            self._fields()
 
     def apply(self, w):
         if w.n != self.n:

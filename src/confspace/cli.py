@@ -152,9 +152,9 @@ def _cmd_braid_gallery(args):
 
 
 # the sampled gallery checks take time linear in the trial count; at this
-# cap the slowest, tame-eisenstein, takes about 1.0 s for one CLI call
-# (median of 5, 0.93-1.31 s), covering 0.55 s and ferrari 0.19 s (2 CPUs,
-# Python 3.11.7)
+# cap the slowest, covering, takes about 0.5 s for one CLI call (medians of
+# 5 and 7 in two runs: 0.36 and 0.55 s), feler9 and tame-eisenstein about
+# 0.2 s and ferrari 0.15 s (2 CPUs, Python 3.11.7)
 _TRIALS_LIMIT = 2000
 
 
@@ -165,8 +165,8 @@ def _cmd_gallery_verify(args):
 
     if args.trials > _TRIALS_LIMIT:
         raise CapacityError(
-            "gallery-verify capped at %d trials (tame-eisenstein, the "
-            "slowest, takes about 1 s at the cap), got %d"
+            "gallery-verify capped at %d trials (covering, the slowest, "
+            "takes about 0.5 s at the cap), got %d"
             % (_TRIALS_LIMIT, args.trials))
     rng = random.Random(args.seed)
     check = morphisms.GALLERY_CHECKS[args.name]

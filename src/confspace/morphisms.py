@@ -15,10 +15,9 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from functools import lru_cache
 from numbers import Rational
 
-from . import _frozen, _undeletable
+from . import _Value
 from .polyring import (
     BinaryForm,
     MultiPoly,
@@ -35,24 +34,16 @@ from .polyring import (
 # ---------------------------------------------------------------------------
 
 
-class QuadExt:
+class QuadExt(_Value):
     """An element a + b*sqrt(d) of a real quadratic extension (a and b
     Fractions, d an int)."""
 
     __slots__ = ("a", "b", "d")
-    __setattr__ = _frozen
-    __delattr__ = _undeletable
 
     def __init__(self, a, b, d):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)
-
-    def __reduce__(self):
-        return QuadExt, (self.a, self.b, self.d)
-
-    def __repr__(self):
-        return "QuadExt(a=%r, b=%r, d=%r)" % (self.a, self.b, self.d)
 
     @classmethod
     def of(cls, a, b=0, d=0):
@@ -123,45 +114,21 @@ def _exact(x):
     return x if isinstance(x, QuadExt) else Fraction(x)
 
 
-class Config:
+class Config(_Value):
     """A tuple of pairwise distinct exact points."""
 
     __slots__ = ("points",)
-    __setattr__ = _frozen
-    __delattr__ = _undeletable
 
     def __init__(self, points):
         pts = [_exact(p) for p in points]
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
-                if _points_equal(pts[i], pts[j]):
+                if pts[i] == pts[j]:
                     raise ValueError("configuration points must be distinct")
         object.__setattr__(self, "points", tuple(pts))
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.points == other.points
-
-    def __hash__(self):
-        return hash((self.points,))
-
-    def __reduce__(self):
-        return Config, (self.points,)
-
-    def __repr__(self):
-        return "Config(points=%r)" % (self.points,)
-
     def __len__(self):
         return len(self.points)
-
-
-def _points_equal(p, q):
-    if isinstance(p, QuadExt) or isinstance(q, QuadExt):
-        diff = (p if isinstance(p, QuadExt) else QuadExt.of(p)) - (
-            q if isinstance(q, QuadExt) else QuadExt.of(q))
-        return diff.is_zero()
-    return p == q
 
 
 def monic_from_roots(points):
@@ -224,7 +191,7 @@ def ferrari_induced_permutation(sigma, config):
         config.points[sigma[i] - 1] for i in range(4)))).points
     images = []
     for z in moved:
-        hits = [t for t, w in enumerate(base) if _points_equal(z, w)]
+        hits = [t for t, w in enumerate(base) if z == w]
         if len(hits) != 1:
             raise ValueError("resolvent values do not separate")
         images.append(hits[0] + 1)
@@ -442,40 +409,29 @@ _HESSE_VARS = tuple(MultiPoly.var("e%d" % i) for i in range(4))
 
 def hesse_cubic_discriminant(z):
     """Discriminant of z0*x^3 + 3*z1*x^2*y + 3*z2*x*y^2 + z3*y^3, in the
-    normalization that makes it a potential for the involution."""
-    z0, z1, z2, z3 = [MultiPoly.const(v) if isinstance(v, int) else v
-                      for v in z]
+    normalization that makes it a potential for the involution; z holds
+    ints or MultiPoly."""
+    z0, z1, z2, z3 = z
     return (z0 ** 2 * z3 ** 2 - 3 * z1 ** 2 * z2 ** 2
             - 6 * z0 * z1 * z2 * z3 + 4 * z0 * z2 ** 3 + 4 * z1 ** 3 * z3)
 
 
-@lru_cache(maxsize=None)
-def _eisenstein_generic():
-    e0, e1, e2, e3 = _HESSE_VARS
-    disc = hesse_cubic_discriminant((e0, e1, e2, e3))
-    return (
-        disc.derivative("e3").scalar_divide(2),
-        disc.derivative("e2").scalar_divide(6),
-        disc.derivative("e1").scalar_divide(6),
-        disc.derivative("e0").scalar_divide(2),
-    )
-
-
 def eisenstein(z):
-    """Coefficients of the image cubic: half and sixth partial derivatives
-    of the discriminant potential, evaluated at z (symbols or values)."""
+    """Coefficients of the image cubic: the half and sixth partial
+    derivatives (d/dz3 / 2, d/dz2 / 6, d/dz1 / 6, d/dz0 / 2) of the
+    discriminant potential, evaluated at z (ints or MultiPoly)."""
     if len(z) != 4:
         raise ValueError("needs four coefficients")
-    subs = {}
-    for name, val in zip(("e0", "e1", "e2", "e3"), z):
-        subs[name] = MultiPoly.const(val) if isinstance(val, int) else val
-    return tuple(w.substitute(subs) for w in _eisenstein_generic())
+    z0, z1, z2, z3 = z
+    return (2 * z1 ** 3 - 3 * z0 * z1 * z2 + z0 ** 2 * z3,
+            2 * z0 * z2 ** 2 - z0 * z1 * z3 - z1 ** 2 * z2,
+            2 * z1 ** 2 * z3 - z0 * z2 * z3 - z1 * z2 ** 2,
+            2 * z2 ** 3 - 3 * z1 * z2 * z3 + z0 * z3 ** 2)
 
 
 def hesse_form(z):
     """The weighted cubic with coefficient quadruple z."""
-    z0, z1, z2, z3 = [MultiPoly.const(v) if isinstance(v, int) else v
-                      for v in z]
+    z0, z1, z2, z3 = z
     return BinaryForm(3, [z0, 3 * z1, 3 * z2, z3])
 
 
@@ -558,33 +514,16 @@ def cayley_comparison():
 # ---------------------------------------------------------------------------
 
 
-class FormalSqrt:
+class FormalSqrt(_Value):
     """u + v*sqrt(base) with polynomial components (MultiPoly) and
     reduction rule (sqrt(base))^2 = base."""
 
     __slots__ = ("base", "u", "v")
-    __setattr__ = _frozen
-    __delattr__ = _undeletable
 
     def __init__(self, base, u, v):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.base, self.u, self.v) == (other.base, other.u, other.v)
-
-    def __hash__(self):
-        return hash((self.base, self.u, self.v))
-
-    def __reduce__(self):
-        return FormalSqrt, (self.base, self.u, self.v)
-
-    def __repr__(self):
-        return "FormalSqrt(base=%r, u=%r, v=%r)" % (self.base, self.u,
-                                                   self.v)
 
     def _check(self, other):
         if self.base != other.base:
@@ -616,7 +555,7 @@ class FormalSqrt:
         return self.u.is_zero() and self.v.is_zero()
 
 
-class MoebiusMap:
+class MoebiusMap(_Value):
     """A fractional-linear map with entries in a coefficient ring.
 
     The true matrix is (1/denominator) times [[a, b], [c, d]]; the shared
@@ -625,8 +564,6 @@ class MoebiusMap:
     """
 
     __slots__ = ("a", "b", "c", "d", "denominator")
-    __setattr__ = _frozen
-    __delattr__ = _undeletable
 
     def __init__(self, a, b, c, d, denominator=1):
         object.__setattr__(self, "a", a)
@@ -634,24 +571,6 @@ class MoebiusMap:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "denominator", denominator)
-
-    def _fields(self):
-        return (self.a, self.b, self.c, self.d, self.denominator)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __reduce__(self):
-        return MoebiusMap, self._fields()
-
-    def __repr__(self):
-        return ("MoebiusMap(a=%r, b=%r, c=%r, d=%r, denominator=%r)"
-                % self._fields())
 
     def determinant_numerator(self):
         return self.a * self.d - self.b * self.c
@@ -785,10 +704,10 @@ def tame_action_check(trials=20, rng=None):
         if attempts > 200 * trials:
             raise RuntimeError("could not draw enough nondegenerate samples")
         z = tuple(rng.randint(-9, 9) for _ in range(4))
-        dz = hesse_cubic_discriminant(z).constant_value()
+        dz = hesse_cubic_discriminant(z)
         if dz == 0:
             continue
-        w = tuple(c.constant_value() for c in eisenstein(z))
+        w = eisenstein(z)
         # A^2 + BC = dz != 0, so the map sends a root of phi at A/C to
         # infinity and the identity makes w[0] zero: skipping w[0] == 0 also
         # keeps the denominator Cx - A off every root of phi

@@ -11,6 +11,8 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 
+from . import _Value
+
 # A monomial is a tuple of (variable, exponent) pairs, sorted by variable
 # name, with all exponents > 0.  The empty tuple is the constant monomial.
 
@@ -442,11 +444,6 @@ def _mul_sub(a, b, c, d):
     return {m: v for m, v in out.items() if v}
 
 
-def poly_eval(p, assignment):
-    """Evaluate p at a rational point; ring homomorphism in each argument."""
-    return p.evaluate(assignment)
-
-
 # ---------------------------------------------------------------------------
 # determinants
 # ---------------------------------------------------------------------------
@@ -533,7 +530,7 @@ def _bareiss(a, step):
 # ---------------------------------------------------------------------------
 
 
-class BinaryForm:
+class BinaryForm(_Value):
     """Homogeneous form of degree n in (x, y) with polynomial coefficients.
 
     coeffs[i] multiplies x^(n-i) * y^i.
@@ -551,18 +548,8 @@ class BinaryForm:
             raise ValueError("need exactly degree+1 coefficients")
         if all(c.is_zero() for c in coeffs):
             raise ValueError("the zero form is not a valid BinaryForm")
-        self.degree = degree
-        self.coeffs = coeffs
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BinaryForm)
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        return "BinaryForm(%d, %r)" % (self.degree, list(self.coeffs))
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def multiply(self, other):
         n, m = self.degree, other.degree

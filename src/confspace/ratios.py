@@ -23,7 +23,7 @@ import itertools
 from functools import lru_cache
 from math import comb
 
-from . import CapacityError, _frozen, _undeletable
+from . import CapacityError, _Value
 
 SR = "sr"
 CR = "cr"
@@ -36,13 +36,11 @@ def klein_canonical(indices):
     return min([(i, j, k, l), (j, i, l, k), (k, l, i, j), (l, k, j, i)])
 
 
-class RatioVertex:
+class RatioVertex(_Value):
     """A simple (``kind`` "sr", three marks) or cross (``kind`` "cr", four
     Klein-canonical marks) ratio; vertices compare as (kind, indices)."""
 
     __slots__ = ("kind", "indices")
-    __setattr__ = _frozen
-    __delattr__ = _undeletable
 
     def __init__(self, kind, indices):
         if kind not in (SR, CR):
@@ -58,11 +56,6 @@ class RatioVertex:
             raise ValueError("cross-ratio indices must be Klein-canonical")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "indices", indices)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.indices) == (other.kind, other.indices)
 
     def __lt__(self, other):
         if other.__class__ is not self.__class__:
@@ -84,15 +77,6 @@ class RatioVertex:
             return NotImplemented
         return (self.kind, self.indices) >= (other.kind, other.indices)
 
-    def __hash__(self):
-        return hash((self.kind, self.indices))
-
-    def __reduce__(self):
-        return RatioVertex, (self.kind, self.indices)
-
-    def __repr__(self):
-        return "RatioVertex(kind=%r, indices=%r)" % (self.kind, self.indices)
-
     @property
     def support(self):
         return frozenset(self.indices)
@@ -106,7 +90,7 @@ def cr_vertex(i, j, k, l):
     return RatioVertex(CR, klein_canonical((i, j, k, l)))
 
 
-class DiffProduct:
+class DiffProduct(_Value):
     """A signed product of powers of mark differences.
 
     Represents scalar * prod (q_a - q_b)^e over ordered pairs a < b; the
@@ -115,29 +99,12 @@ class DiffProduct:
     """
 
     __slots__ = ("scalar", "powers")
-    __setattr__ = _frozen
-    __delattr__ = _undeletable
 
     def __init__(self, scalar, powers):
         if scalar not in (1, -1):
             raise ValueError("scalar must be +1 or -1")
         object.__setattr__(self, "scalar", scalar)
         object.__setattr__(self, "powers", powers)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.scalar, self.powers) == (other.scalar, other.powers)
-
-    def __hash__(self):
-        return hash((self.scalar, self.powers))
-
-    def __reduce__(self):
-        return DiffProduct, (self.scalar, self.powers)
-
-    def __repr__(self):
-        return "DiffProduct(scalar=%r, powers=%r)" % (self.scalar,
-                                                     self.powers)
 
     @classmethod
     def from_factors(cls, factors):

@@ -618,12 +618,11 @@ def tame_action_numeric(trials=20, rng=None, tol=1e-9):
         if attempts > 200 * trials:
             raise RuntimeError("could not draw enough nondegenerate samples")
         z = tuple(rng.randint(-9, 9) for _ in range(4))
-        dz = hesse_cubic_discriminant(
-            tuple(MultiPoly.const(v) for v in z)).constant_value()
+        dz = hesse_cubic_discriminant(z)
         scale = max(abs(v) for v in z) or 1
         if abs(dz) < 1e-6 * scale ** 4:
             continue
-        w = tuple(c.constant_value() for c in eisenstein(z))
+        w = eisenstein(z)
         phi = [z[0], 3 * z[1], 3 * z[2], z[3]]
         psi = [w[0], -3 * w[1], 3 * w[2], -w[3]]
         if phi[0] == 0 or psi[0] == 0:

@@ -249,23 +249,6 @@ def test_ferrari_failure_witness_matches_fraction_oracle(capsys, monkeypatch):
         assert out == json.dumps({"name": "ferrari", **report}) + "\n"
 
 
-@pytest.mark.parametrize("name", ["eisenstein", "cayley", "tame-eisenstein"])
-def test_eisenstein_cache_keeps_gallery_output(capsys, monkeypatch, name):
-    """The cached generic Eisenstein covariants give the same stdout as
-    covariants rebuilt on every call."""
-    cached = {}
-    for seed in range(4):
-        cached[seed] = capture(
-            capsys, ["gallery-verify", "--name", name, "--seed", str(seed)])
-    monkeypatch.setattr(morphisms, "_eisenstein_generic",
-                        morphisms._eisenstein_generic.__wrapped__)
-    for seed in range(4):
-        rebuilt = capture(
-            capsys, ["gallery-verify", "--name", name, "--seed", str(seed)])
-        assert rebuilt == cached[seed]
-        assert rebuilt[0] == 0
-
-
 def test_gallery_verify_trials_capacity(capsys, monkeypatch):
     class Checked(Exception):
         pass

@@ -79,6 +79,15 @@ def test_each_verb_loads_only_its_layers(argv, layers):
     assert "dataclasses" not in seen["run"][1]
 
 
+def test_package_import_loads_nothing_else():
+    probe = ("import json, sys; before = set(sys.modules); import confspace; "
+             "print(json.dumps(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, check=True, timeout=120)
+    assert json.loads(out.stdout) == ["confspace"]
+
+
 def test_gallery_names_match_the_checks():
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))

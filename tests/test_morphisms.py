@@ -12,7 +12,6 @@ from confspace.polyring import (
     MultiPoly,
     discriminant_monic,
     discriminant_of,
-    poly_eval,
 )
 from confspace.morphisms import (
     Config,
@@ -66,6 +65,13 @@ def test_config_rejects_repeats():
     cfg = Config((1, Fraction(1, 2)))
     assert cfg.points == (Fraction(1), Fraction(1, 2))
     assert all(isinstance(p, Fraction) for p in cfg.points)
+
+
+def test_config_of_points_with_different_radicands():
+    assert len(Config((QuadExt.sqrt(2), QuadExt.sqrt(3)))) == 2
+    with pytest.raises(ValueError) as err:
+        Config((QuadExt.sqrt(2), QuadExt.of(0, 1, 2)))
+    assert str(err.value) == "configuration points must be distinct"
 
 
 def test_quad_ext_arithmetic():
@@ -181,7 +187,7 @@ def test_discriminant_value_matches_symbolic():
                        for _ in range(n)]
             coeffs = monic_from_roots(pts)
             point = {"w%d" % i: coeffs[i] for i in range(1, n + 1)}
-            assert discriminant_value(pts) == poly_eval(d, point)
+            assert discriminant_value(pts) == d.evaluate(point)
 
 
 # -- quartic resolvent --------------------------------------------------------
@@ -280,7 +286,7 @@ def test_feler_sextic_roots_are_the_shifted_square_roots():
     pts = (0, 1, 3)
     coeffs = monic_from_roots(pts)
     point = {"z%d" % i: coeffs[i] for i in range(1, 4)}
-    L_vals = [int(poly_eval(Lp, point)) for Lp in feler_L()]
+    L_vals = [int(Lp.evaluate(point)) for Lp in feler_L()]
     poly = [1] + L_vals
     for i in range(3):
         others = [p for j, p in enumerate(pts) if j != i]
@@ -364,7 +370,7 @@ def test_nine_factors_multiply_to_the_symbolic_form():
             for j, y in enumerate(f2):
                 for k, z in enumerate(f3):
                     product[i + j + k] += x * y * z
-        assert product == [poly_eval(c, point) for c in form.coeffs]
+        assert product == [c.evaluate(point) for c in form.coeffs]
 
 
 # -- the cubic involution ------------------------------------------------------
@@ -381,8 +387,26 @@ def test_eisenstein_displayed_formulas():
     assert w[3] == 2 * z2 ** 3 - 3 * z1 * z2 * z3 + z0 * z3 ** 2
 
 
+def test_eisenstein_is_the_derivative_of_the_potential():
+    D = hesse_cubic_discriminant(Z)
+    assert eisenstein(Z) == (D.derivative("z3").scalar_divide(2),
+                             D.derivative("z2").scalar_divide(6),
+                             D.derivative("z1").scalar_divide(6),
+                             D.derivative("z0").scalar_divide(2))
+
+
 def test_eisenstein_fixed_form():
-    assert [c.constant_value() for c in eisenstein((1, 0, 0, 1))] == [1, 0, 0, 1]
+    assert eisenstein((1, 0, 0, 1)) == (1, 0, 0, 1)
+
+
+def test_hesse_covariants_of_int_cubics_are_ints():
+    z = (1, -2, 3, 5)
+    point = dict(zip(("z0", "z1", "z2", "z3"), z))
+    disc, w = hesse_cubic_discriminant(z), eisenstein(z)
+    assert type(disc) is int and all(type(c) is int for c in w)
+    assert disc == hesse_cubic_discriminant(Z).evaluate(point)
+    assert w == tuple(c.evaluate(point) for c in eisenstein(Z))
+    assert hesse_form(z) == hesse_form(tuple(map(MultiPoly.const, z)))
 
 
 def test_eisenstein_involution_identities():
@@ -518,7 +542,7 @@ def test_tame_action_fails_on_symbolic_identity_alone(monkeypatch):
 
     def wrong_when_symbolic(z):
         w = right(z)
-        if all(c.is_constant() for c in w):
+        if not any(isinstance(c, MultiPoly) for c in w):
             return w
         return (w[0], w[1], w[2], w[3] + MultiPoly.var("z0"))
 
