@@ -702,7 +702,7 @@ def _orbit_minima(points, group):
     return out
 
 
-def search_homs(n, k, include_cyclic=True):
+def search_homs(n, k):
     """Conjugacy classes of homomorphisms into S(k), exhaustively.
 
     Every homomorphism is determined by the image pair (generator 1, full
@@ -755,8 +755,7 @@ def search_homs(n, k, include_cyclic=True):
         braids = {}
         for a in candidates:
             images = _hom_images(s, a, n, braids)
-            if images is not None and (include_cyclic
-                                       or not _all_equal(images)):
+            if images is not None:
                 key = _conjugacy_key(images, k)
                 if key not in classes:
                     least = min(_conjugates(a, centraliser), default=a)
@@ -770,18 +769,21 @@ def search_homs(n, k, include_cyclic=True):
             tuple(images),
         )
 
-    out = []
-    for images in sorted(classes.values(), key=sort_key):
-        h = SymHom(n, k, tuple(map(_perm, images)))
-        props = hom_properties(h)
-        out.append({
-            "hom": h,
-            "cyclic": props["cyclic_image"],
-            "transitive": props["transitive"],
-            "surjective": props["surjective"],
-            "image_order": props["image_order"],
-        })
-    return out
+    return [hom_class(SymHom(n, k, tuple(map(_perm, images))))
+            for images in sorted(classes.values(), key=sort_key)]
+
+
+def hom_class(h):
+    """The entry search_homs lists for the class of h: h with its
+    cyclicity, transitivity, surjectivity and image order."""
+    props = hom_properties(h)
+    return {
+        "hom": h,
+        "cyclic": props["cyclic_image"],
+        "transitive": props["transitive"],
+        "surjective": props["surjective"],
+        "image_order": props["image_order"],
+    }
 
 
 # ---------------------------------------------------------------------------

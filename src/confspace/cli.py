@@ -106,41 +106,24 @@ def _cmd_braid_equal(args):
     return _emit(payload, 0 if equal else 1)
 
 
-def _hom_payload(h):
-    from . import braid
-
-    payload = {
-        "n": h.n,
-        "k": h.k,
-        "images": [list(im.images) for im in h.images],
+def _hom_fields(c):
+    """A search_homs class entry as emitted: the generator images, then
+    the class properties."""
+    return {
+        "images": [list(im.images) for im in c["hom"].images],
+        "cyclic": c["cyclic"],
+        "transitive": c["transitive"],
+        "surjective": c["surjective"],
+        "image_order": c["image_order"],
     }
-    props = braid.hom_properties(h)
-    payload["cyclic"] = props["cyclic_image"]
-    payload["transitive"] = props["transitive"]
-    payload["surjective"] = props["surjective"]
-    payload["image_order"] = props["image_order"]
-    return payload
 
 
 def _cmd_braid_search(args):
     from . import braid
 
     classes = braid.search_homs(args.n, args.k)
-    payload = {
-        "n": args.n,
-        "k": args.k,
-        "classes": [
-            {
-                "images": [list(im.images) for im in c["hom"].images],
-                "cyclic": c["cyclic"],
-                "transitive": c["transitive"],
-                "surjective": c["surjective"],
-                "image_order": c["image_order"],
-            }
-            for c in classes
-        ],
-    }
-    return _emit(payload)
+    return _emit({"n": args.n, "k": args.k,
+                  "classes": [_hom_fields(c) for c in classes]})
 
 
 def _cmd_braid_gallery(args):
@@ -148,7 +131,8 @@ def _cmd_braid_gallery(args):
 
     h = braid.standard_gallery(args.name, n=args.n, r=args.r,
                                x=args.x, y=args.y)
-    return _emit({"name": args.name, **_hom_payload(h)})
+    return _emit({"name": args.name, "n": h.n, "k": h.k,
+                  **_hom_fields(braid.hom_class(h))})
 
 
 # the sampled gallery checks take time linear in the trial count; at this

@@ -131,18 +131,6 @@ class Config(_Value):
         return len(self.points)
 
 
-def monic_from_roots(points):
-    """Coefficients (1, w_1, ..., w_n) of prod (t - q_i), exact."""
-    coeffs = [Fraction(1)]
-    for q in points:
-        q = Fraction(q)
-        nxt = coeffs + [Fraction(0)]
-        for i in range(len(coeffs)):
-            nxt[i + 1] -= q * coeffs[i]
-        coeffs = nxt
-    return coeffs
-
-
 def discriminant_value(points):
     """Discriminant of the monic polynomial with the given roots.
 
@@ -181,23 +169,6 @@ def ferrari_symbolic():
     """The three resolvent coordinates as polynomials in q1..q4, times 4."""
     return _resolvent_times_4(*(MultiPoly.var("q%d" % i)
                                 for i in range(1, 5)))
-
-
-def ferrari_induced_permutation(sigma, config):
-    """The permutation of the three resolvent slots induced by relabeling
-    the four input points; sigma is a 1-based image tuple."""
-    base = ferrari(config).points
-    moved = ferrari(Config(tuple(
-        config.points[sigma[i] - 1] for i in range(4)))).points
-    images = []
-    for z in moved:
-        hits = [t for t, w in enumerate(base) if z == w]
-        if len(hits) != 1:
-            raise ValueError("resolvent values do not separate")
-        images.append(hits[0] + 1)
-    if sorted(images) != [1, 2, 3]:
-        raise ValueError("relabeling did not permute the resolvent")
-    return tuple(images)
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +247,6 @@ def feler_nine_form(qs=None):
     return f1.multiply(f2).multiply(f3)
 
 
-def _difference_cube(q):
-    q1, q2, q3 = q
-    return (q1 - q2) * (q2 - q3) * (q3 - q1)
-
-
 # Verified constant of the degree-9 identity.  The source text prints the
 # positive constant, but exact evaluation and an independent floating-point
 # root-product check both give the negative one under the determinant
@@ -341,28 +307,15 @@ def feler_nine_sampled(trials=20, rng=None):
     return {"pass": True, "trials": trials, "witness": None}
 
 
-def _composed_disc_degree(n, w0):
-    """Homogeneity degree of the form discriminant composed with
-    coefficients that are homogeneous of degrees w0, w0+1, ..., w0+n.
-
-    The Sylvester rows scale as lambda^(w0 - r) times column factors
-    lambda^j, so the full determinant scales by the exponent sum; removing
-    the factored leading coefficient leaves the discriminant exponent.
-    """
-    rows_coeff = [(w0 - r) for r in range(n - 1)]
-    rows_deriv = [(w0 - r) for r in range(n)]
-    cols = list(range(2 * n - 1))
-    return sum(rows_coeff) + sum(rows_deriv) + sum(cols) - w0
-
-
 def feler_nine_symbolic():
     """Exact certification of the degree-9 discriminant identity.
 
     Checks, in order: every coefficient of the form is homogeneous of
-    degree 6+i and antisymmetric under swapping the first two marks; the
-    composed discriminant is therefore homogeneous of degree 168 (row and
-    column scaling of the Sylvester determinant); the right-hand side is
-    homogeneous of the same degree.  A degree-168 homogeneous polynomial
+    degree 6+i and antisymmetric under swapping the first two marks.  The
+    discriminant of a degree-9 form has degree 16 and weight 72 in its
+    coefficients, so with coefficient i of degree 6+i the left-hand side is
+    homogeneous of degree 16*6 + 72 = 168, as is the right-hand side, delta
+    of degree 3 to the 56th.  A degree-168 homogeneous polynomial
     vanishes identically iff it vanishes at every point of the principal
     lattice a+b <= 168 in the plane q3 = 1, so exact integer evaluation on
     that lattice (halved by the symmetry) decides the identity.  Each
@@ -381,14 +334,8 @@ def feler_nine_symbolic():
         if c.substitute(swap) != -c:
             return {"pass": False, "stage": "swap-antisymmetry",
                     "witness": i}
-    degree = _composed_disc_degree(9, 6)
-    if degree != 168:
-        return {"pass": False, "stage": "degree-bookkeeping",
-                "witness": degree}
-    delta = _difference_cube((MultiPoly.var("q1"), MultiPoly.var("q2"),
-                              MultiPoly.var("q3")))
-    if not delta.is_homogeneous(3):
-        return {"pass": False, "stage": "rhs-homogeneity", "witness": None}
+    # both sides' degree, derived in the docstring
+    degree = 168
     checked = 0
     for a in range(0, degree + 1):
         for b in range(a, degree + 1 - a):
@@ -510,107 +457,6 @@ def cayley_comparison():
 
 
 # ---------------------------------------------------------------------------
-# formal square roots and the fractional-linear form of the involution
-# ---------------------------------------------------------------------------
-
-
-class FormalSqrt(_Value):
-    """u + v*sqrt(base) with polynomial components (MultiPoly) and
-    reduction rule (sqrt(base))^2 = base."""
-
-    __slots__ = ("base", "u", "v")
-
-    def __init__(self, base, u, v):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-
-    def _check(self, other):
-        if self.base != other.base:
-            raise ValueError("mixed radicands")
-
-    def __add__(self, other):
-        self._check(other)
-        return FormalSqrt(self.base, self.u + other.u, self.v + other.v)
-
-    def __sub__(self, other):
-        self._check(other)
-        return FormalSqrt(self.base, self.u - other.u, self.v - other.v)
-
-    def __neg__(self):
-        return FormalSqrt(self.base, -self.u, -self.v)
-
-    def __mul__(self, other):
-        self._check(other)
-        return FormalSqrt(
-            self.base,
-            self.u * other.u + self.v * other.v * self.base,
-            self.u * other.v + self.v * other.u,
-        )
-
-    def conjugate(self):
-        return FormalSqrt(self.base, self.u, -self.v)
-
-    def is_zero(self):
-        return self.u.is_zero() and self.v.is_zero()
-
-
-class MoebiusMap(_Value):
-    """A fractional-linear map with entries in a coefficient ring.
-
-    The true matrix is (1/denominator) times [[a, b], [c, d]]; the shared
-    denominator keeps entries polynomial when the normalization involves a
-    square root.
-    """
-
-    __slots__ = ("a", "b", "c", "d", "denominator")
-
-    def __init__(self, a, b, c, d, denominator=1):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "denominator", denominator)
-
-    def determinant_numerator(self):
-        return self.a * self.d - self.b * self.c
-
-
-def tame_eisenstein(z):
-    """The involution as a fractional-linear map, normalized to unit
-    determinant through the square root of the negated discriminant.
-
-    For evaluated input the discriminant must not vanish.
-    """
-    zs = [MultiPoly.const(v) if isinstance(v, int) else v for v in z]
-    z0, z1, z2, z3 = zs
-    disc = hesse_cubic_discriminant(zs)
-    if disc.is_constant() and disc.constant_value() == 0:
-        raise ValueError("degenerate form: discriminant vanishes")
-    base = -disc
-    A = z1 * z2 - z0 * z3
-    B = 2 * (z2 ** 2 - z1 * z3)
-    C = 2 * (z0 * z2 - z1 ** 2)
-    lift = lambda p: FormalSqrt(base, MultiPoly.zero(), p)
-    # entry/denominator = p*sqrt(base)/base = p/sqrt(base)
-    return MoebiusMap(lift(A), lift(B), lift(C), lift(-A), denominator=base)
-
-
-def tame_determinant_identity(z=None):
-    """det of the normalized map minus one, as exact polynomial data.
-
-    Returns (numerator_u, numerator_v, denominator): determinant equals
-    (u + v*sqrt(base))/den^2; the identity holds iff u == den^2, v == 0.
-    """
-    if z is None:
-        z = tuple(MultiPoly.var("z%d" % i) for i in range(4))
-    m = tame_eisenstein(z)
-    det = m.determinant_numerator()
-    den2 = m.denominator * m.denominator
-    return det.u, det.v, den2
-
-
-# ---------------------------------------------------------------------------
 # model maps and coverings
 # ---------------------------------------------------------------------------
 
@@ -657,19 +503,45 @@ def covering_point(config, m):
 
 
 # ---------------------------------------------------------------------------
-# the action of the fractional-linear involution on roots
+# the involution as one PGL_2 matrix, and its action on roots
 # ---------------------------------------------------------------------------
+
+
+def tame_matrix(z):
+    """(A, B, C) of the matrix [[A, B], [C, -A]] by which the involution
+    acts on the roots of the weighted cubic of z (ints or MultiPoly).
+
+    Its determinant -(A^2 + BC) is minus the discriminant (as
+    tame_determinant_identity checks), so the matrix is in PGL_2 exactly
+    where the cubic has distinct roots; a cubic whose discriminant vanishes
+    is refused with ValueError.
+    """
+    if hesse_cubic_discriminant(z) == 0:
+        raise ValueError("degenerate form: discriminant vanishes")
+    z0, z1, z2, z3 = z
+    return (z1 * z2 - z0 * z3, 2 * (z2 ** 2 - z1 * z3),
+            2 * (z0 * z2 - z1 ** 2))
+
+
+def tame_determinant_identity():
+    """The determinant of the generic matrix scaled by 1/sqrt(-disc), as
+    exact polynomial data (u, v, den2): it equals (u + v*sqrt(-disc))/den2,
+    and it is one iff u == den2 and v == 0.  The matrix has determinant
+    u = -(A^2 + BC), the scaling divides it by den2 = -disc, and no odd
+    power of the root is left, so v = 0."""
+    z = _HESSE_VARS
+    A, B, C = tame_matrix(z)
+    return (-(A * A + B * C), MultiPoly.zero(),
+            -hesse_cubic_discriminant(z))
 
 
 def _tame_action_identity(z, w, disc):
     """Whether (Cx - A)^3 phi((Ax + B)/(Cx - A)) == -disc * psi(x), with phi
-    the weighted cubic of z and psi that of its image w under y -> -y: the
-    map then carries the roots of phi onto those of psi.  The arguments are
-    all ints or all MultiPoly."""
+    the weighted cubic of z, psi that of its image w under y -> -y, and
+    (A, B, C) from tame_matrix(z): the map then carries the roots of phi
+    onto those of psi.  The arguments are all ints or all MultiPoly."""
     z0, z1, z2, z3 = z
-    A = z1 * z2 - z0 * z3
-    B = 2 * (z2 ** 2 - z1 * z3)
-    C = 2 * (z0 * z2 - z1 ** 2)
+    A, B, C = tame_matrix(z)
     phi = (z0, 3 * z1, 3 * z2, z3)
     psi = (w[0], -3 * w[1], 3 * w[2], -w[3])
     composed = [0, 0, 0, 0]

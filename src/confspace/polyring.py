@@ -540,7 +540,8 @@ class BinaryForm(_Value):
 
     def __init__(self, degree, coeffs):
         coeffs = tuple(
-            MultiPoly.const(c) if isinstance(c, int) else c for c in coeffs
+            c if isinstance(c, MultiPoly) else MultiPoly.const(c)
+            for c in coeffs
         )
         if degree < 0:
             raise ValueError("degree must be non-negative")
@@ -560,9 +561,6 @@ class BinaryForm(_Value):
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
         return BinaryForm(n + m, out)
-
-    def discriminant(self):
-        return discriminant_of(self.coeffs)
 
     def to_multipoly(self):
         """The form as a polynomial in the variables "x" and "y"."""

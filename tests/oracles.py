@@ -15,8 +15,10 @@ every candidate triple, integer resultants and discriminants by a
 subresultant remainder sequence, discriminants also by the Sylvester
 determinant of the form and its derivative, the degree-9 form
 discriminant by expanding the form and running that sequence, the
-ferrari check on Fraction points and Config values, and polynomial
-identities by symbolic comparison with a sampled fallback.
+ferrari check and the slot permutation of a relabelling on Fraction
+points and Config values, monic coefficients by multiplying out the
+roots, and polynomial identities by symbolic comparison with a sampled
+fallback.
 """
 
 import random
@@ -572,6 +574,35 @@ def identity_report(lhs, rhs, trials=20, rng=None):
 
 def verify_identity(lhs, rhs, trials=20, rng=None):
     return identity_report(lhs, rhs, trials, rng)["pass"]
+
+
+def monic_from_roots(points):
+    """Coefficients (1, w_1, ..., w_n) of prod (t - q_i), exact."""
+    coeffs = [Fraction(1)]
+    for q in points:
+        q = Fraction(q)
+        nxt = coeffs + [Fraction(0)]
+        for i in range(len(coeffs)):
+            nxt[i + 1] -= q * coeffs[i]
+        coeffs = nxt
+    return coeffs
+
+
+def ferrari_induced_permutation(sigma, config):
+    """The permutation of the three resolvent slots induced by relabeling
+    the four input points; sigma is a 1-based image tuple."""
+    base = ferrari(config).points
+    moved = ferrari(Config(tuple(
+        config.points[sigma[i] - 1] for i in range(4)))).points
+    images = []
+    for z in moved:
+        hits = [t for t, w in enumerate(base) if z == w]
+        if len(hits) != 1:
+            raise ValueError("resolvent values do not separate")
+        images.append(hits[0] + 1)
+    if sorted(images) != [1, 2, 3]:
+        raise ValueError("relabeling did not permute the resolvent")
+    return tuple(images)
 
 
 def verify_ferrari_fractions(trials, rng, symbolic):

@@ -16,8 +16,6 @@ from confspace.polyring import (
 from confspace.morphisms import (
     Config,
     FELER_NINE_CONSTANT,
-    FormalSqrt,
-    MoebiusMap,
     QuadExt,
     cayley_comparison,
     cayley_eisenstein,
@@ -29,21 +27,21 @@ from confspace.morphisms import (
     feler_nine_sampled,
     feler_nine_symbolic,
     ferrari,
-    ferrari_induced_permutation,
     ferrari_symbolic,
     hesse_cubic_discriminant,
     hesse_form,
     model_map,
-    monic_from_roots,
     tame_action_check,
     tame_determinant_identity,
-    tame_eisenstein,
+    tame_matrix,
 )
 from oracles import (
     _nine_form_int_coeffs,
     discriminant_int,
     discriminant_sylvester,
+    ferrari_induced_permutation,
     identity_report,
+    monic_from_roots,
     nine_form_disc_expanded,
     resultant_int,
     tame_action_numeric,
@@ -87,16 +85,11 @@ def test_quad_ext_arithmetic():
 def _morphism_values():
     """(value, an equal value built from equal fields, a different value,
     the tuple of its fields)."""
-    b, u, v = MultiPoly.var("b"), MultiPoly.zero(), MultiPoly.one()
     return [
         (QuadExt.of(Fraction(1, 2), 2, 3), QuadExt(Fraction(1, 2), 2, 3),
          QuadExt.of(Fraction(1, 2), 2, 5), None),
         (Config((1, Fraction(1, 2))), Config((Fraction(1), Fraction(1, 2))),
          Config((Fraction(1, 2), 1)), ((Fraction(1), Fraction(1, 2)),)),
-        (FormalSqrt(b, u, v), FormalSqrt(base=b, u=u, v=v),
-         FormalSqrt(b, v, u), (b, u, v)),
-        (MoebiusMap(1, 2, 3, 4), MoebiusMap(1, 2, 3, 4, denominator=1),
-         MoebiusMap(1, 2, 3, 4, 5), (1, 2, 3, 4, 1)),
     ]
 
 
@@ -113,8 +106,7 @@ def test_morphism_value_types_compare_by_fields(value, same, other, fields):
     assert copy.copy(value) == value and copy.deepcopy(value) == value
     assert pickle.loads(pickle.dumps(value)) == value
     before = repr(value)
-    for name in ("a", "b", "d", "points", "base", "u", "denominator",
-                 "extra"):
+    for name in ("a", "b", "d", "points", "extra"):
         with pytest.raises(AttributeError):
             setattr(value, name, 0)
         with pytest.raises(AttributeError):
@@ -128,15 +120,6 @@ def test_morphism_value_type_reprs():
     assert repr(Config((1, QuadExt.sqrt(2)))) == (
         "Config(points=(Fraction(1, 1), "
         "QuadExt(a=Fraction(0, 1), b=Fraction(1, 1), d=2)))")
-    assert repr(FormalSqrt(MultiPoly.var("b"), MultiPoly.zero(),
-                           MultiPoly.one())) == "FormalSqrt(base=b, u=0, v=1)"
-    assert repr(MoebiusMap(1, 2, 3, 4)) == (
-        "MoebiusMap(a=1, b=2, c=3, d=4, denominator=1)")
-
-
-def test_moebius_map_default_denominator():
-    assert MoebiusMap(1, 2, 3, 4).denominator == 1
-    assert MoebiusMap(1, 2, 3, 4, 7).denominator == 7
 
 
 def test_quad_ext_equality_ignores_radicand_of_rationals():
@@ -447,24 +430,7 @@ def test_cayley_degenerate_input_still_a_form():
             for c in out.coeffs] == [216, 0, 0, 0]
 
 
-# -- the fractional-linear form -------------------------------------------------
-
-
-def test_formal_sqrt_reduction_rule():
-    base = MultiPoly.var("b")
-    s = FormalSqrt(base, MultiPoly.zero(), MultiPoly.one())
-    sq = s * s
-    assert sq.u == base and sq.v.is_zero()
-    x = FormalSqrt(base, MultiPoly.var("u"), MultiPoly.var("v"))
-    prod = x * x.conjugate()
-    assert prod.v.is_zero()
-    assert prod.u == MultiPoly.var("u") ** 2 - MultiPoly.var("v") ** 2 * base
-
-
-def test_tame_structure():
-    m = tame_eisenstein(Z)
-    assert m.d == -m.a
-    assert (m.a + m.d).is_zero()
+# -- the involution as a PGL_2 matrix ------------------------------------------
 
 
 def test_tame_determinant_is_one():
@@ -475,14 +441,31 @@ def test_tame_determinant_is_one():
 
 def test_tame_numerator_identity():
     z0, z1, z2, z3 = Z
-    lhs = -((z1 * z2 - z0 * z3) ** 2) - 4 * (z2 ** 2 - z1 * z3) * (
-        z0 * z2 - z1 ** 2)
-    assert lhs == -hesse_cubic_discriminant(Z)
+    A, B, C = tame_matrix(Z)
+    assert (A, B, C) == (z1 * z2 - z0 * z3, 2 * (z2 ** 2 - z1 * z3),
+                         2 * (z0 * z2 - z1 ** 2))
+    assert -(A ** 2) - B * C == -hesse_cubic_discriminant(Z)
 
 
 def test_tame_degenerate_rejected():
-    with pytest.raises(ValueError):
-        tame_eisenstein((1, 0, 0, 0))
+    with pytest.raises(ValueError, match="discriminant vanishes"):
+        tame_matrix((1, 0, 0, 0))
+
+
+def test_wrong_matrix_entry_fails_both_tame_checks(monkeypatch):
+    # both checks take A, B, C from tame_matrix, so one wrong entry there
+    # must fail the determinant identity and the action on roots alike
+    right = morphisms.tame_matrix
+
+    def wrong_b(z):
+        A, B, C = right(z)
+        return A, B + 1, C
+
+    monkeypatch.setattr(morphisms, "tame_matrix", wrong_b)
+    u, v, den2 = tame_determinant_identity()
+    assert not (v.is_zero() and u == den2)
+    rep = tame_action_check(trials=5, rng=random.Random(0))
+    assert not rep["pass"] and rep["witness"] is not None
 
 
 def test_tame_action_on_roots():

@@ -464,6 +464,13 @@ def test_binary_form_validation():
         BinaryForm(2, [MultiPoly.one()] * 2)
 
 
+def test_binary_form_coefficients_must_be_integral():
+    with pytest.raises(ValueError, match=r"Fraction\(1, 2\).*not an integer"):
+        BinaryForm(2, [Fraction(1, 2), 0, 1])
+    # integral non-int numbers become constants, as ints do
+    assert BinaryForm(2, [Fraction(2), 0, 1]) == BinaryForm(2, [2, 0, 1])
+
+
 def test_binary_form_product_degree():
     f = BinaryForm(2, [1, 0, -1])
     g = BinaryForm(1, [1, 1])

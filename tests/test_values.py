@@ -36,9 +36,6 @@ EXAMPLES = {
         [((2, 1), 1), ((2, 3), -1)]),
     "QuadExt": lambda: morphisms.QuadExt.of(Fraction(1, 2), 2, 3),
     "Config": lambda: morphisms.Config((1, morphisms.QuadExt.sqrt(2))),
-    "FormalSqrt": lambda: morphisms.FormalSqrt(
-        MultiPoly.var("b"), MultiPoly.one(), MultiPoly.var("u")),
-    "MoebiusMap": lambda: morphisms.MoebiusMap(1, 2, 3, 4, 5),
     "BinaryForm": lambda: polyring.BinaryForm(2, [1, MultiPoly.var("t"), -1]),
 }
 
