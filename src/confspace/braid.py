@@ -449,7 +449,7 @@ def is_transitive(h):
 
 
 def hom_properties(h):
-    """Transitivity, image order, cyclicity and a block system if any.
+    """Transitivity, image order, cyclicity and surjectivity.
 
     Cyclicity needs no closure (see _all_equal).  The image order does:
     the closure lists the whole image, so this is for small degrees (an
@@ -457,14 +457,12 @@ def hom_properties(h):
     is_transitive for bulk transitivity scans.
     """
     gens = [_tuple(im) for im in h.images]
-    transitive = len(_orbits(gens, h.k)) == 1
     order = len(_closure(gens, h.k))
     return {
-        "transitive": transitive,
+        "transitive": len(_orbits(gens, h.k)) == 1,
         "image_order": order,
         "cyclic_image": _all_equal(gens),
         "surjective": order == factorial(h.k),
-        "blocks": _nontrivial_blocks(gens, h.k) if transitive else None,
     }
 
 
@@ -610,32 +608,6 @@ def _closure(gens, k):
                             % _CLOSURE_LIMIT)
         frontier = nxt
     return seen
-
-
-def _min_block_with(gens, k, beta):
-    """Smallest block containing points 0 and beta; the classical
-    refinement."""
-    parent = list(range(k))
-    parent[0] = beta
-    queue = [(0, beta)]
-    while queue:
-        x, y = queue.pop()
-        for g in gens:
-            gx, gy = g[x], g[y]
-            rx, ry = _find(parent, gx), _find(parent, gy)
-            if rx != ry:
-                parent[rx] = ry
-                queue.append((gx, gy))
-    return _classes(parent)
-
-
-def _nontrivial_blocks(gens, k):
-    """A nontrivial block system of a transitive action, or None."""
-    for beta in range(1, k):
-        blocks = _min_block_with(gens, k, beta)
-        if len(blocks) > 1:
-            return blocks
-    return None
 
 
 def are_conjugate(h1, h2):

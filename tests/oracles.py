@@ -15,10 +15,10 @@ every candidate triple, integer resultants and discriminants by a
 subresultant remainder sequence, discriminants also by the Sylvester
 determinant of the form and its derivative, the degree-9 form
 discriminant by expanding the form and running that sequence, the
-ferrari check and the slot permutation of a relabelling on Fraction
-points and Config values, monic coefficients by multiplying out the
-roots, and polynomial identities by symbolic comparison with a sampled
-fallback.
+ferrari and covering checks and the slot permutation of a relabelling on
+tuples of Fraction points, block systems by the classical refinement,
+monic coefficients by multiplying out the roots, and polynomial
+identities by symbolic comparison with a sampled fallback.
 """
 
 import random
@@ -30,13 +30,16 @@ from math import factorial
 
 import networkx
 
+from confspace import morphisms
 from confspace.braid import (
     CanonicalBraid,
     Perm,
     SymHom,
     _all_equal,
+    _classes,
     _conjugacy_key,
     _cycle_type,
+    _find,
     _hom_images,
     _pdelta,
     _perm,
@@ -53,15 +56,18 @@ from confspace.braid import (
 )
 from confspace.morphisms import (
     _SAMPLE_BOUND,
-    Config,
     _report,
     eisenstein,
     feler_nine_rhs_value,
-    ferrari,
     ferrari_symbolic,
     hesse_cubic_discriminant,
 )
-from confspace.polyring import MultiPoly, bareiss_det, sylvester_matrix
+from confspace.polyring import (
+    MultiPoly,
+    bareiss_det,
+    discriminant_monic,
+    sylvester_matrix,
+)
 from confspace.ratios import (
     RatioVertex,
     _classify_triple,
@@ -345,6 +351,33 @@ def _perm_transitive(gens, k):
     return len(reached) == k
 
 
+def _min_block_with(gens, k, beta):
+    """Smallest block containing points 0 and beta; the classical
+    refinement."""
+    parent = list(range(k))
+    parent[0] = beta
+    queue = [(0, beta)]
+    while queue:
+        x, y = queue.pop()
+        for g in gens:
+            gx, gy = g[x], g[y]
+            rx, ry = _find(parent, gx), _find(parent, gy)
+            if rx != ry:
+                parent[rx] = ry
+                queue.append((gx, gy))
+    return _classes(parent)
+
+
+def _nontrivial_blocks(gens, k):
+    """A nontrivial block system of a transitive action of 0-based image
+    tuples on range(k), as sorted lists of 1-based points, or None."""
+    for beta in range(1, k):
+        blocks = _min_block_with(gens, k, beta)
+        if len(blocks) > 1:
+            return blocks
+    return None
+
+
 def are_conjugate_dfs(h1, h2):
     """A permutation t with t^-1 * g1 * t == g2 for every pair of generator
     images, or None: depth-first search over assignments, propagating
@@ -588,12 +621,18 @@ def monic_from_roots(points):
     return coeffs
 
 
-def ferrari_induced_permutation(sigma, config):
+def ferrari_fractions(points):
+    """The three-point resolvent of four points, as Fractions; the
+    resolvent is looked up on ``morphisms`` at each call."""
+    return tuple(z / 4 for z in morphisms._resolvent_times_4(
+        *map(Fraction, points)))
+
+
+def ferrari_induced_permutation(sigma, points):
     """The permutation of the three resolvent slots induced by relabeling
     the four input points; sigma is a 1-based image tuple."""
-    base = ferrari(config).points
-    moved = ferrari(Config(tuple(
-        config.points[sigma[i] - 1] for i in range(4)))).points
+    base = ferrari_fractions(points)
+    moved = ferrari_fractions(points[sigma[i] - 1] for i in range(4))
     images = []
     for z in moved:
         hits = [t for t, w in enumerate(base) if z == w]
@@ -606,8 +645,8 @@ def ferrari_induced_permutation(sigma, config):
 
 
 def verify_ferrari_fractions(trials, rng, symbolic):
-    """The "ferrari" gallery check on Fraction points and Config values:
-    the same draws, distinctness check and report as
+    """The "ferrari" gallery check on tuples of Fraction points: the same
+    draws, distinctness check and report as
     ``morphisms.GALLERY_CHECKS["ferrari"]``."""
     f1, f2, f3 = ferrari_symbolic()
     q = [MultiPoly.var("q%d" % i) for i in range(1, 5)]
@@ -621,14 +660,54 @@ def verify_ferrari_fractions(trials, rng, symbolic):
         while len(set(pts)) != 4:
             pts = [Fraction(rng.randint(-50, 50), rng.randint(1, 9))
                    for _ in range(4)]
-        base = set(ferrari(Config(tuple(pts))).points)
+        base = set(ferrari_fractions(pts))
         for sigma in permutations((1, 2, 3, 4)):
-            moved = ferrari(Config(tuple(pts[sigma[i] - 1]
-                                         for i in range(4))))
-            if set(moved.points) != base:
+            moved = ferrari_fractions(pts[sigma[i] - 1] for i in range(4))
+            if set(moved) != base:
                 return _report(False, "symbolic+sampled", trials,
                                [str(p) for p in pts])
     return _report(factors_ok, "symbolic+sampled", trials)
+
+
+def discriminant_fractions(points):
+    """Discriminant of the monic polynomial with the given roots, in
+    Fractions, with the sign of ``discriminant_monic``."""
+    pts = [Fraction(p) for p in points]
+    n = len(pts)
+    prod = Fraction(1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            prod *= (pts[i] - pts[j]) ** 2
+    return prod if (n * (n - 1) // 2) % 2 == 0 else -prod
+
+
+def verify_covering_fractions(trials, rng, symbolic):
+    """The "covering" gallery check on Fraction points, scaled by the
+    m-th power of their discriminant as they are drawn: the same draws,
+    distinctness check and report as
+    ``morphisms.GALLERY_CHECKS["covering"]``."""
+    for n in (3, 4):
+        d = discriminant_monic(n)
+        zeta = MultiPoly.var("t")
+        scaled = d.substitute({
+            "w%d" % i: MultiPoly.var("w%d" % i) * zeta ** i
+            for i in range(1, n + 1)})
+        if scaled != zeta ** (n * (n - 1)) * d:
+            return _report(False, "symbolic+sampled", trials, {"n": n})
+    for _ in range(trials):
+        n = rng.choice((2, 3, 4, 5))
+        m = rng.randint(0, 2)
+        pts = []
+        while len(set(pts)) != n:
+            pts = [Fraction(rng.randint(-20, 20), rng.randint(1, 7))
+                   for _ in range(n)]
+        d_in = discriminant_fractions(pts)
+        out = [p * d_in ** m for p in pts]
+        d_out = discriminant_fractions(out)
+        if d_out != d_in ** (m * n * (n - 1) + 1):
+            return _report(False, "symbolic+sampled", trials,
+                           [str(p) for p in pts])
+    return _report(True, "symbolic+sampled", trials)
 
 
 def tame_action_numeric(trials=20, rng=None, tol=1e-9):
@@ -820,6 +899,17 @@ def discriminant_int(coeffs):
     return q
 
 
+def int_poly_mul(p, r):
+    """Product of two integer coefficient lists (either order of powers,
+    the same in both)."""
+    out = [0] * (len(p) + len(r) - 1)
+    for i, x in enumerate(p):
+        if x:
+            for j, y in enumerate(r):
+                out[i + j] += x * y
+    return out
+
+
 def _nine_form_int_coeffs(q):
     """Integer coefficients of the degree-9 form at an integer point."""
     q1, q2, q3 = q
@@ -829,15 +919,8 @@ def _nine_form_int_coeffs(q):
     def factor(a, b):
         return [w[a] * x - w[b] * y for x, y in zip(cubes[a], cubes[b])]
 
-    def mul(p, r):
-        out = [0] * (len(p) + len(r) - 1)
-        for i, x in enumerate(p):
-            if x:
-                for j, y in enumerate(r):
-                    out[i + j] += x * y
-        return out
-
-    return mul(mul(factor(0, 1), factor(1, 2)), factor(2, 0))
+    return int_poly_mul(int_poly_mul(factor(0, 1), factor(1, 2)),
+                        factor(2, 0))
 
 
 def nine_form_disc_expanded(q):

@@ -26,7 +26,6 @@ TEST_FACING = {
         "mu_image", "sphere_kernel_word", "verify_sym_hom", "word",
         "words_equal",
     },
-    "morphisms": {"ferrari"},
     "ratios": {
         "act", "divides_oracle", "enumerate_punctured", "involution",
         "punctured_value",

@@ -45,6 +45,7 @@ from confspace.braid import (
     _tuple,
 )
 from oracles import (
+    _nontrivial_blocks,
     are_conjugate_dfs,
     canonical_form_sweep,
     cyclic_by_closure,
@@ -449,7 +450,8 @@ def test_lattice_hom_transitivity_matches_coprimality():
 def test_lattice_hom_never_primitive():
     for r in (2, 3):
         for n in (4, 5):
-            blocks = hom_properties(lattice_hom(n, r, 1, 1))["blocks"]
+            h = lattice_hom(n, r, 1, 1)
+            blocks = _nontrivial_blocks([_tuple(im) for im in h.images], h.k)
             assert blocks is not None and 1 < len(blocks) < r * n
 
 
@@ -473,6 +475,8 @@ def test_trivial_hom_properties():
 
 def test_mu_properties():
     props = hom_properties(standard_mu(5))
+    assert sorted(props) == ["cyclic_image", "image_order", "surjective",
+                             "transitive"]
     assert props["transitive"]
     assert props["image_order"] == 120
     assert not props["cyclic_image"]

@@ -6,7 +6,12 @@ import pytest
 
 from confspace import braid, morphisms, polyring, ratios
 from confspace.cli import run
-from oracles import feler_nine_sampled_expanded, verify_ferrari_fractions
+import oracles
+from oracles import (
+    feler_nine_sampled_expanded,
+    verify_covering_fractions,
+    verify_ferrari_fractions,
+)
 
 
 def capture(capsys, argv):
@@ -247,6 +252,37 @@ def test_ferrari_failure_witness_matches_fraction_oracle(capsys, monkeypatch):
         report = verify_ferrari_fractions(20, random.Random(seed), False)
         assert status == 1 and report["pass"] is False
         assert out == json.dumps({"name": "ferrari", **report}) + "\n"
+
+
+@pytest.mark.parametrize("trials, seeds", [(20, range(10)), (2000, [3])])
+def test_covering_stdout_matches_fraction_oracle(capsys, trials, seeds):
+    # the int loop makes the oracle's draws and reaches its verdict
+    for seed in seeds:
+        status, out = capture(capsys, ["gallery-verify", "--name", "covering",
+                                       "--trials", str(trials),
+                                       "--seed", str(seed)])
+        oracle_rng = random.Random(seed)
+        report = verify_covering_fractions(trials, oracle_rng, False)
+        assert status == 0
+        assert out == json.dumps({"name": "covering", **report}) + "\n"
+        rng = random.Random(seed)
+        morphisms.GALLERY_CHECKS["covering"](trials, rng, False)
+        assert rng.getstate() == oracle_rng.getstate()
+
+
+def test_covering_failure_witness_matches_fraction_oracle(capsys,
+                                                          monkeypatch):
+    # a discriminant that ignores scaling, the number of points, breaks the
+    # law at the first draw with m > 0 in both routes, with that draw as
+    # the witness
+    monkeypatch.setattr(morphisms, "discriminant_value", len)
+    monkeypatch.setattr(oracles, "discriminant_fractions", len)
+    for seed in range(3):
+        status, out = capture(capsys, ["gallery-verify", "--name", "covering",
+                                       "--seed", str(seed)])
+        report = verify_covering_fractions(20, random.Random(seed), False)
+        assert status == 1 and report["pass"] is False
+        assert out == json.dumps({"name": "covering", **report}) + "\n"
 
 
 def test_gallery_verify_trials_capacity(capsys, monkeypatch):

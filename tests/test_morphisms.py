@@ -1,6 +1,4 @@
-import copy
 import itertools
-import pickle
 import random
 from fractions import Fraction
 
@@ -14,19 +12,15 @@ from confspace.polyring import (
     discriminant_of,
 )
 from confspace.morphisms import (
-    Config,
     FELER_NINE_CONSTANT,
-    QuadExt,
     cayley_comparison,
     cayley_eisenstein,
-    covering_point,
     discriminant_value,
     eisenstein,
     feler_L,
     feler_nine_form,
     feler_nine_sampled,
     feler_nine_symbolic,
-    ferrari,
     ferrari_symbolic,
     hesse_cubic_discriminant,
     hesse_form,
@@ -39,8 +33,10 @@ from oracles import (
     _nine_form_int_coeffs,
     discriminant_int,
     discriminant_sylvester,
+    ferrari_fractions,
     ferrari_induced_permutation,
     identity_report,
+    int_poly_mul,
     monic_from_roots,
     nine_form_disc_expanded,
     resultant_int,
@@ -51,145 +47,17 @@ from oracles import (
 Z = tuple(MultiPoly.var("z%d" % i) for i in range(4))
 
 
-# -- configurations and exact scalars ----------------------------------------
-
-
-def test_config_rejects_repeats():
-    with pytest.raises(ValueError):
-        Config((1, 2, 1))
-    with pytest.raises(ValueError) as err:
-        Config((QuadExt.sqrt(2), 1, QuadExt.of(0, 1, 2)))
-    assert str(err.value) == "configuration points must be distinct"
-    cfg = Config((1, Fraction(1, 2)))
-    assert cfg.points == (Fraction(1), Fraction(1, 2))
-    assert all(isinstance(p, Fraction) for p in cfg.points)
-
-
-def test_config_of_points_with_different_radicands():
-    assert len(Config((QuadExt.sqrt(2), QuadExt.sqrt(3)))) == 2
-    with pytest.raises(ValueError) as err:
-        Config((QuadExt.sqrt(2), QuadExt.of(0, 1, 2)))
-    assert str(err.value) == "configuration points must be distinct"
-
-
-def test_quad_ext_arithmetic():
-    s = QuadExt.sqrt(3)
-    assert (s * s) == QuadExt.of(3)
-    x = QuadExt.of(Fraction(1, 2), 2, 3)
-    y = QuadExt.of(1, -1, 3)
-    assert (x + y) == QuadExt.of(Fraction(3, 2), 1, 3)
-    assert (x * y).a == Fraction(1, 2) - 6
-    assert (2 - s * s) == QuadExt.of(-1)
-
-
-def _morphism_values():
-    """(value, an equal value built from equal fields, a different value,
-    the tuple of its fields)."""
-    return [
-        (QuadExt.of(Fraction(1, 2), 2, 3), QuadExt(Fraction(1, 2), 2, 3),
-         QuadExt.of(Fraction(1, 2), 2, 5), None),
-        (Config((1, Fraction(1, 2))), Config((Fraction(1), Fraction(1, 2))),
-         Config((Fraction(1, 2), 1)), ((Fraction(1), Fraction(1, 2)),)),
-    ]
-
-
-@pytest.mark.parametrize("value, same, other, fields", _morphism_values(),
-                         ids=lambda v: type(v).__name__)
-def test_morphism_value_types_compare_by_fields(value, same, other, fields):
-    assert value == same and not value != same
-    assert hash(value) == hash(same)
-    assert value != other and not value == other
-    assert len({value, same, other}) == 2
-    if fields is not None:  # QuadExt compares with numbers, not tuples
-        assert hash(value) == hash(fields)
-        assert value != fields and not value == fields
-    assert copy.copy(value) == value and copy.deepcopy(value) == value
-    assert pickle.loads(pickle.dumps(value)) == value
-    before = repr(value)
-    for name in ("a", "b", "d", "points", "extra"):
-        with pytest.raises(AttributeError):
-            setattr(value, name, 0)
-        with pytest.raises(AttributeError):
-            delattr(value, name)
-    assert repr(value) == before
-
-
-def test_morphism_value_type_reprs():
-    assert repr(QuadExt.of(Fraction(1, 2), 2, 3)) == (
-        "QuadExt(a=Fraction(1, 2), b=Fraction(2, 1), d=3)")
-    assert repr(Config((1, QuadExt.sqrt(2)))) == (
-        "Config(points=(Fraction(1, 1), "
-        "QuadExt(a=Fraction(0, 1), b=Fraction(1, 1), d=2)))")
-
-
-def test_quad_ext_equality_ignores_radicand_of_rationals():
-    assert QuadExt.of(3, 0, 2) == QuadExt.of(3, 0, 5) == 3
-    assert hash(QuadExt.of(3, 0, 2)) == hash(QuadExt.of(3, 0, 5))
-    assert QuadExt.of(3, 1, 2) != QuadExt.of(3, 1, 5)
-
-
-def test_quad_ext_against_other_types_is_unequal():
-    one = QuadExt.of(1)
-    assert one == 1 and one == Fraction(1) and one != 2
-    assert not one == (1,) and one != (1,) and one != "x"
-    # with a root part the hash is that of the field tuple, so the dict
-    # compares the keys
-    root = QuadExt.of(1, 1, 2)
-    assert hash(root) == hash((1, 1, 2))
-    table = {(1, 1, 2): "tuple", root: "quad"}
-    assert len(table) == 2
-    assert table[(1, 1, 2)] == "tuple" and table[QuadExt.of(1, 1, 2)] == "quad"
-
-
-def test_quad_ext_hash_agrees_with_rationals():
-    for a in (0, 1, -3, 10 ** 30, Fraction(1, 2), Fraction(-7, 3)):
-        q = QuadExt.of(a)
-        assert q == a and hash(q) == hash(a)
-        assert len({a, q}) == 1 and {a: "rational"}[q] == "rational"
-    # b = 0 with different radicands: equal, one set element, one dict key
-    p, q = QuadExt.of(Fraction(5, 4), 0, 2), QuadExt.of(Fraction(5, 4), 0, 7)
-    assert p == q and hash(p) == hash(q)
-    assert len({p, q, Fraction(5, 4)}) == 1
-
-
-def test_quad_ext_negative_power_refused():
-    s = QuadExt.sqrt(2)
-    assert s ** 0 == 1 and s ** 2 == 2
-    with pytest.raises(ValueError):
-        s ** -1
-
-
-def test_discriminant_value_matches_symbolic():
-    rng = random.Random(3)
-    for n in (2, 3, 4, 5):
-        d = discriminant_monic(n)
-        for _ in range(5):
-            pts = []
-            while len(set(pts)) != n:
-                pts = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-                       for _ in range(n)]
-            coeffs = monic_from_roots(pts)
-            point = {"w%d" % i: coeffs[i] for i in range(1, n + 1)}
-            assert discriminant_value(pts) == d.evaluate(point)
-
-
 # -- quartic resolvent --------------------------------------------------------
 
 
 def test_ferrari_example():
-    out = ferrari(Config((0, 1, 2, 3)))
-    assert set(out.points) == {0, 1, 4}
-
-
-def test_ferrari_needs_four_points():
-    with pytest.raises(ValueError):
-        ferrari(Config((0, 1, 2)))
+    assert set(morphisms._resolvent_times_4(0, 1, 2, 3)) == {0, 4, 16}
+    assert set(ferrari_fractions((0, 1, 2, 3))) == {0, 1, 4}
 
 
 def test_ferrari_swap_permutes_output():
-    cfg = Config((Fraction(1, 2), 3, -2, 7))
-    a = set(ferrari(cfg).points)
-    b = set(ferrari(Config((3, Fraction(1, 2), -2, 7))).points)
+    a = set(ferrari_fractions((Fraction(1, 2), 3, -2, 7)))
+    b = set(ferrari_fractions((3, Fraction(1, 2), -2, 7)))
     assert a == b
 
 
@@ -214,10 +82,9 @@ def test_ferrari_equivariance_and_kernel():
         while len(set(pts)) != 4:
             pts = [Fraction(rng.randint(-30, 30), rng.randint(1, 7))
                    for _ in range(4)]
-        cfg = Config(tuple(pts))
         try:
             table = {
-                sigma: ferrari_induced_permutation(sigma, cfg)
+                sigma: ferrari_induced_permutation(sigma, pts)
                 for sigma in itertools.permutations((1, 2, 3, 4))
             }
         except ValueError:
@@ -265,21 +132,17 @@ def test_feler_sextic_resultant_is_unit_times_power():
 
 
 def test_feler_sextic_roots_are_the_shifted_square_roots():
-    # at (0, 1, 3) the six image points are q_i plus/minus a square root
-    pts = (0, 1, 3)
-    coeffs = monic_from_roots(pts)
-    point = {"z%d" % i: coeffs[i] for i in range(1, 4)}
-    L_vals = [int(Lp.evaluate(point)) for Lp in feler_L()]
-    poly = [1] + L_vals
-    for i in range(3):
-        others = [p for j, p in enumerate(pts) if j != i]
-        rad = (pts[i] - others[0]) * (pts[i] - others[1])
-        for sign in (1, -1):
-            mu = QuadExt.of(pts[i], sign, rad)
-            acc = QuadExt.of(0)
-            for k, c in enumerate(poly):
-                acc = acc + mu ** (6 - k) * c
-            assert acc.is_zero()
+    # the image sextic of the cubic with roots q is
+    # prod_i ((t - q_i)^2 - (q_i - q_j)(q_i - q_k)): its six roots are the
+    # q_i shifted by the square roots of (q_i - q_j)(q_i - q_k)
+    for q in ((0, 1, 3), (2, -5, 7), (1, 4, -9)):
+        z = [int(c) for c in monic_from_roots(q)[1:]]
+        sextic = [1, *feler_L(z)]
+        product = [1]
+        for i, (j, k) in enumerate(((1, 2), (0, 2), (0, 1))):
+            shift = (q[i] - q[j]) * (q[i] - q[k])
+            product = int_poly_mul(product, [1, -2 * q[i], q[i] ** 2 - shift])
+        assert sextic == product, q
 
 
 # -- the degree-9 form ---------------------------------------------------------
@@ -347,7 +210,7 @@ def test_nine_factors_multiply_to_the_symbolic_form():
             tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in range(3))
             for _ in range(10)]:
         point = dict(zip(("q1", "q2", "q3"), q))
-        f1, f2, f3 = morphisms._nine_factors_int(q)
+        f1, f2, f3 = morphisms._nine_factors(q)
         product = [0] * 10
         for i, x in enumerate(f1):
             for j, y in enumerate(f2):
@@ -506,6 +369,9 @@ class _ScriptedDraws:
     def randint(self, low, high):
         return next(self._values)
 
+    def choice(self, seq):
+        return next(self._values)
+
 
 def test_tame_action_skips_degenerate_samples(monkeypatch):
     # zero discriminant, zero phi_0, zero psi_0, then a regular cubic; the
@@ -541,10 +407,11 @@ def test_model_map_values():
     coeffs = model_map("A", 3, 1, 2)
     assert coeffs == [1, 0, 0, -2]
     for m in (3, 5):
-        coeffs = model_map("B", m, 0, Fraction(7))
+        coeffs = model_map("B", m, 0, 7)
         expected = [1] + [0] * m
         expected[m - 1] = -1
-        assert coeffs == [Fraction(c) for c in expected]
+        assert coeffs == expected
+        assert all(type(c) is int for c in coeffs)
 
 
 def test_model_map_guards():
@@ -552,6 +419,12 @@ def test_model_map_guards():
         model_map("A", 1, 1, 2)
     with pytest.raises(ValueError):
         model_map("Q", 3, 1, 2)
+
+
+def test_model_map_refuses_negative_exponent():
+    for zeta in (2, MultiPoly.var("c")):
+        with pytest.raises(ValueError, match="exponent must be non-negative"):
+            model_map("A", 3, -1, zeta)
 
 
 def test_model_map_discriminant_power():
@@ -566,21 +439,59 @@ def test_model_map_discriminant_power():
             assert coeff != 0
 
 
-def test_covering_identity_at_zero():
-    cfg = Config((Fraction(1), Fraction(2), Fraction(5)))
-    assert covering_point(cfg, 0).points == cfg.points
+def test_discriminant_value_matches_symbolic():
+    rng = random.Random(3)
+    for n in (2, 3, 4, 5):
+        d = discriminant_monic(n)
+        for _ in range(5):
+            pts = []
+            while len(set(pts)) != n:
+                pts = [rng.randint(-9, 9) for _ in range(n)]
+            coeffs = monic_from_roots(pts)
+            point = {"w%d" % i: coeffs[i] for i in range(1, n + 1)}
+            value = discriminant_value(pts)
+            assert type(value) is int and value == d.evaluate(point)
+
+
+def _record_covering(monkeypatch, draws):
+    """The discriminant_value inputs of one covering trial on the scripted
+    draws: the scaled points, then their image."""
+    seen = []
+    right = morphisms.discriminant_value
+
+    def recording(points):
+        seen.append(list(points))
+        return right(points)
+
+    monkeypatch.setattr(morphisms, "discriminant_value", recording)
+    rep = morphisms.GALLERY_CHECKS["covering"](
+        1, _ScriptedDraws(draws), False)
+    assert rep["pass"]
+    return seen
+
+
+def test_covering_identity_at_zero(monkeypatch):
+    # n = 3, m = 0, the points 1, 2, 5: the map is the identity
+    seen = _record_covering(monkeypatch, [3, 0, 1, 1, 2, 1, 5, 1])
+    assert seen == [[1, 2, 5], [1, 2, 5]]
+
+
+def test_covering_clears_denominators_and_redraws_repeats(monkeypatch):
+    # n = 2, m = 1; 1/2 and 2/4 are one point, so the pair is redrawn, and
+    # 1/2, 1/3 times the lcm 6 are 3, 2, with discriminant -1
+    seen = _record_covering(monkeypatch, [2, 1, 1, 2, 2, 4, 1, 2, 1, 3])
+    assert seen == [[3, 2], [-3, -2]]
 
 
 def test_covering_two_points():
     # the discriminant of t^2 - t is -1 in this sign convention, so the
     # image configuration is the reflected pair and the covering law holds
-    cfg = Config((Fraction(0), Fraction(1)))
-    assert discriminant_value(cfg.points) == -1
-    out = covering_point(cfg, 1)
-    assert set(out.points) == {Fraction(0), Fraction(-1)}
+    d = discriminant_value((0, 1))
+    assert d == -1
+    out = [d * p for p in (0, 1)]
+    assert set(out) == {0, -1}
     k = 1 * 2 * 1 + 1
-    assert discriminant_value(out.points) == discriminant_value(
-        cfg.points) ** k
+    assert discriminant_value(out) == d ** k
 
 
 def test_covering_law_symbolic_roots():
@@ -620,18 +531,10 @@ def test_covering_law_sampled():
         for m in (1, 2):
             pts = []
             while len(set(pts)) != n:
-                pts = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-                       for _ in range(n)]
-            cfg = Config(tuple(pts))
-            out = covering_point(cfg, m)
+                pts = [rng.randint(-9, 9) for _ in range(n)]
+            d = discriminant_value(pts)
             k = m * n * (n - 1) + 1
-            assert discriminant_value(out.points) == discriminant_value(
-                cfg.points) ** k
-
-
-def test_covering_needs_two_points():
-    with pytest.raises(ValueError):
-        covering_point(Config((Fraction(1),)), 1)
+            assert discriminant_value([d ** m * p for p in pts]) == d ** k
 
 
 # -- identity testing -------------------------------------------------------------

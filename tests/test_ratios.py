@@ -733,7 +733,7 @@ def test_abc_guards():
     with pytest.raises(ValueError):
         verify_abc(4, 0)
     with pytest.raises(CapacityError):
-        verify_abc(6, 4, capacity=1000)
+        verify_abc(6, 4)
 
 
 def _abc_triples(n, bound):

@@ -4,7 +4,6 @@ its fields, copies and pickles to an equal value, and keeps its repr."""
 
 import copy
 import pickle
-from fractions import Fraction
 
 import pytest
 
@@ -34,8 +33,6 @@ EXAMPLES = {
     "RatioVertex": lambda: ratios.cr_vertex(2, 1, 4, 3),
     "DiffProduct": lambda: ratios.DiffProduct.from_factors(
         [((2, 1), 1), ((2, 3), -1)]),
-    "QuadExt": lambda: morphisms.QuadExt.of(Fraction(1, 2), 2, 3),
-    "Config": lambda: morphisms.Config((1, morphisms.QuadExt.sqrt(2))),
     "BinaryForm": lambda: polyring.BinaryForm(2, [1, MultiPoly.var("t"), -1]),
 }
 
