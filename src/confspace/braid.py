@@ -12,7 +12,7 @@ Permutations multiply left-to-right: (p * q) means "apply p, then q".
 from __future__ import annotations
 
 import itertools
-from math import factorial, lcm
+from math import factorial, lcm, prod
 
 from . import CapacityError, _Value
 
@@ -445,25 +445,71 @@ def hom_from_pair(s, a, n, k):
 
 def is_transitive(h):
     """Whether the generator images act with a single orbit on 1..k."""
-    return len(_orbits([_tuple(im) for im in h.images], h.k)) == 1
+    return len(_bfs_code([_tuple(im) for im in h.images], 0)[1]) == h.k
 
 
 def hom_properties(h):
-    """Transitivity, image order, cyclicity and surjectivity.
-
-    Cyclicity needs no closure (see _all_equal).  The image order does:
-    the closure lists the whole image, so this is for small degrees (an
-    image past _CLOSURE_LIMIT elements raises CapacityError); use
-    is_transitive for bulk transitivity scans.
-    """
+    """Transitivity, image order, cyclicity (see _all_equal) and
+    surjectivity, from one stabiliser chain (see _basic_orbits)."""
     gens = [_tuple(im) for im in h.images]
-    order = len(_closure(gens, h.k))
+    orbits = _basic_orbits(gens, h.k)
+    order = prod(map(len, orbits))
     return {
-        "transitive": len(_orbits(gens, h.k)) == 1,
+        "transitive": len(orbits[0]) == h.k,
         "image_order": order,
         "cyclic_image": _all_equal(gens),
         "surjective": order == factorial(h.k),
     }
+
+
+def _basic_orbits(gens, k):
+    """The basic orbits, base 0, 1, ..., k - 1, of a stabiliser chain of the
+    group the image tuples generate, by Schreier-Sims (Sims 1970; Seress,
+    Permutation Group Algorithms, ch. 4).  A generator is filed at its
+    first moved point; level i maps each point x of the orbit of i under
+    the generators filed at levels >= i to an element sending i to x.  The
+    group order is the product of the orbit sizes."""
+    filed = [(next(x for x in range(k) if g[x] != x), g) for g in gens
+             if g != _pid(k)]
+
+    def strong(i):
+        return [g for j, g in filed if j >= i]
+
+    def basic_orbit(i):
+        level, points, orbit = strong(i), [i], {i: _pid(k)}
+        for x in points:
+            for g in level:
+                if g[x] not in orbit:
+                    orbit[g[x]] = _pmul(orbit[x], g)
+                    points.append(g[x])
+        return orbit
+
+    def sift(p, i):
+        # where p, fixing the points before i, leaves the chain, k if never
+        while i < k and p[i] in orbits[i]:
+            if p[i] != i:
+                p = _pmul(p, _pinv(orbits[i][p[i]]))
+            i += 1
+        return i, p
+
+    # levels are checked from the last up: a Schreier generator of level i
+    # that does not sift is filed where sifting stopped, the orbits from
+    # level i + 1 to there are rebuilt, and checking restarts there
+    orbits = [basic_orbit(i) for i in range(k)]
+    i = k - 1
+    while i >= 0:
+        orbit, level = orbits[i], strong(i)
+        for j, p in (sift(_pmul(_pmul(u, g), _pinv(orbit[g[x]])), i + 1)
+                     for x, u in orbit.items() for g in level):
+            if j < k:
+                filed.append((j, p))
+                for m in range(i + 1, j + 1):
+                    orbits[m] = basic_orbit(m)
+                i = j
+                break
+        else:
+            i -= 1
+    return orbits
 
 
 def _braids(s, t):
@@ -554,62 +600,6 @@ def _conjugacy_key(images, k):
     return tuple(sorted(code for code, _ in _orbit_codes(images, k)))
 
 
-def _find(parent, x):
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _classes(parent):
-    """The classes of a union-find forest, as sorted lists of 1-based
-    points."""
-    groups = {}
-    for x in range(len(parent)):
-        groups.setdefault(_find(parent, x), []).append(x + 1)
-    return sorted(groups.values())
-
-
-def _orbits(gens, k):
-    parent = list(range(k))
-    for g in gens:
-        for x in range(k):
-            a, b = _find(parent, x), _find(parent, g[x])
-            if a != b:
-                parent[a] = b
-    return _classes(parent)
-
-
-# The closure lists the whole image.  9! elements (braid-gallery --name mu
-# --n 9) take about 4 s and 80 MiB for one CLI call (median of 5, 3.8-4.4 s;
-# 2 CPUs, Python 3.11.7), and each further degree multiplies both.
-_CLOSURE_LIMIT = factorial(9)
-
-
-def _closure(gens, k):
-    """Every element of the group the image tuples generate."""
-    gens = set(gens)
-    identity = _pid(k)
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = _pmul(p, g)
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-                    if len(seen) > _CLOSURE_LIMIT:
-                        raise CapacityError(
-                            "image closure capped at %d elements, the "
-                            "measured budget (braid-gallery --name mu --n 9 "
-                            "lists 9! = 362880 in about 4 s and 80 MiB)"
-                            % _CLOSURE_LIMIT)
-        frontier = nxt
-    return seen
-
-
 def are_conjugate(h1, h2):
     """A conjugating permutation between two homomorphisms, or None.
 
@@ -694,13 +684,18 @@ def search_homs(n, k):
     once per class.  Classes come back deterministically sorted and
     labeled.
     """
-    # n = k = 8, the slowest case, takes about 0.9 s for one CLI call
-    # (median of 5, 0.84-0.87 s, 23 MiB; 2 CPUs, Python 3.11.7); k = 9 is
-    # unmeasured
+    # the relation checks grow as n^2; n = 100, k = 8, the slowest accepted
+    # call, takes about 0.8 s for one CLI call (medians of 5 in two runs,
+    # 0.79 and 0.81 s; 2 CPUs, Python 3.11.7)
     if k > 8:
         raise CapacityError(
             "exhaustive search supported for k <= 8, the measured budget "
-            "(the slowest case measured, n = k = 8, takes about 0.9 s)")
+            "(the slowest accepted call, n = 100, k = 8, takes about 0.8 s)")
+    if n > 100:
+        raise CapacityError(
+            "exhaustive search capped at n = 100 strands (the slowest "
+            "accepted call, n = 100, k = 8, takes about 0.8 s), got n = %d"
+            % n)
     if n < 3:
         raise ValueError("need at least three strands")
     # one pass over S(k): the t != s of each representative's class that
@@ -749,13 +744,7 @@ def hom_class(h):
     """The entry search_homs lists for the class of h: h with its
     cyclicity, transitivity, surjectivity and image order."""
     props = hom_properties(h)
-    return {
-        "hom": h,
-        "cyclic": props["cyclic_image"],
-        "transitive": props["transitive"],
-        "surjective": props["surjective"],
-        "image_order": props["image_order"],
-    }
+    return {"hom": h, "cyclic": props.pop("cyclic_image"), **props}
 
 
 # ---------------------------------------------------------------------------
@@ -844,11 +833,18 @@ def lattice_hom(n, r, x, y):
     return SymHom(n, k, tuple(images))
 
 
+# the stabiliser chain grows as about k^5; at this cap the slowest accepted
+# call, braid-gallery --name phi3 --n 16, takes about 0.6 s (medians of 5 in
+# two runs, 0.48 and 0.60 s, 16 MiB; 2 CPUs, Python 3.11.7)
+_GALLERY_DEGREE_LIMIT = 32
+
+
 def standard_gallery(name, n=None, r=None, x=None, y=None):
     """Named homomorphisms by construction, relation-verified.
 
     Only phixy takes r, x and y; nu6 and nu41..nu43 take no n other than
-    their own strand count (6 and 4)."""
+    their own strand count (6 and 4).  A degree past _GALLERY_DEGREE_LIMIT
+    is refused before any image is built."""
     name = name.lower()
     if name != "phixy" and (r, x, y) != (None, None, None):
         raise ValueError("%s takes no r, x or y" % name)
@@ -856,6 +852,14 @@ def standard_gallery(name, n=None, r=None, x=None, y=None):
     if strands is not None and n not in (None, strands):
         raise ValueError("%s is on %d strands, got n = %d"
                          % (name, strands, n))
+    per_strand = {"mu": 1, "phi1": 2, "phi2": 2, "phi3": 2,
+                  "phixy": r}.get(name)
+    if None not in (n, per_strand) and n * per_strand > _GALLERY_DEGREE_LIMIT:
+        raise CapacityError(
+            "braid-gallery capped at degree k = %d (n for mu, 2n for "
+            "phi1-phi3, rn for phixy; the slowest accepted call, phi3 "
+            "--n 16, takes about 0.6 s), got k = %d"
+            % (_GALLERY_DEGREE_LIMIT, n * per_strand))
     if name == "mu":
         if n is None:
             raise ValueError("mu needs n")

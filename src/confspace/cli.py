@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import numbers
 import sys
 
 from . import CapacityError
@@ -17,9 +16,7 @@ _SAFE = 1 << 53
 
 
 def _jsonable(value):
-    """Ints beyond the 53-bit safe range become decimal strings, and so do
-    fractions (checked as numbers.Rational, so that importing the CLI does
-    not load `fractions`)."""
+    """Ints beyond the 53-bit safe range become decimal strings."""
     if isinstance(value, bool):
         return value
     if isinstance(value, int):
@@ -28,8 +25,6 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, numbers.Rational):
-        return str(value)
     return value
 
 

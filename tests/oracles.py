@@ -36,10 +36,8 @@ from confspace.braid import (
     Perm,
     SymHom,
     _all_equal,
-    _classes,
     _conjugacy_key,
     _cycle_type,
-    _find,
     _hom_images,
     _pdelta,
     _perm,
@@ -349,6 +347,22 @@ def _perm_transitive(gens, k):
                 reached.add(y)
                 stack.append(y)
     return len(reached) == k
+
+
+def _find(parent, x):
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _classes(parent):
+    """The classes of a union-find forest, as sorted lists of 1-based
+    points."""
+    groups = {}
+    for x in range(len(parent)):
+        groups.setdefault(_find(parent, x), []).append(x + 1)
+    return sorted(groups.values())
 
 
 def _min_block_with(gens, k, beta):

@@ -6,6 +6,7 @@ import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from sympy.combinatorics import Permutation, PermutationGroup
 
 from confspace.braid import (
     SPHERE,
@@ -46,10 +47,12 @@ from confspace.braid import (
 )
 from oracles import (
     _nontrivial_blocks,
+    _perm_transitive,
     are_conjugate_dfs,
     canonical_form_sweep,
     cyclic_by_closure,
     passing_homs,
+    perm_closure,
     search_homs_full_scan,
     search_homs_pairwise,
 )
@@ -480,6 +483,35 @@ def test_mu_properties():
     assert props["transitive"]
     assert props["image_order"] == 120
     assert not props["cyclic_image"]
+
+
+@pytest.mark.parametrize("n,k", [
+    (3, 3), (3, 4), (3, 5), (3, 6), (3, 7), (4, 4), (4, 5), (4, 6), (4, 7),
+    (5, 5), (5, 6), (6, 6), (6, 7), (7, 7), (8, 8)])
+def test_chain_matches_closure_on_every_class(n, k):
+    for c in search_homs(n, k):
+        h = c["hom"]
+        assert c["image_order"] == len(perm_closure(h.images, k))
+        assert c["transitive"] == _perm_transitive(h.images, k)
+        assert is_transitive(h) == c["transitive"]
+
+
+@pytest.mark.parametrize("name, params", [
+    ("mu", dict(n=10)),
+    ("mu", dict(n=12)),
+    ("phi1", dict(n=8)),
+    ("phi3", dict(n=8)),
+    ("phi2", dict(n=9)),
+    ("phixy", dict(n=6, r=5, x=1, y=2)),
+])
+def test_chain_order_matches_sympy(name, params):
+    # orders from 9! to 12!, too large to list in a test
+    h = standard_gallery(name, **params)
+    group = PermutationGroup([Permutation(list(_tuple(im)))
+                              for im in h.images])
+    props = hom_properties(h)
+    assert props["image_order"] == group.order()
+    assert props["transitive"] == group.is_transitive()
 
 
 # -- conjugacy ---------------------------------------------------------------

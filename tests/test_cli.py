@@ -345,12 +345,70 @@ def test_braid_search_capacity(capsys):
     assert "k <= 8" in capsys.readouterr().err
 
 
-def test_braid_gallery_closure_capacity(capsys, monkeypatch):
-    monkeypatch.setattr(braid, "_CLOSURE_LIMIT", 500)
-    assert run(["braid-gallery", "--name", "mu", "--n", "6"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "capped at 500 elements" in captured.err
+def test_braid_search_strand_capacity(capsys, monkeypatch):
+    def no_search(k):
+        raise AssertionError("classes searched before the strand check")
+
+    monkeypatch.setattr(braid, "conjugacy_class_reps", no_search)
+    for n in (101, 2000):
+        assert run(["braid-search", "--n", str(n), "--k", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "capped at n = 100 strands" in captured.err
+        assert "got n = %d" % n in captured.err
+
+
+def test_braid_search_strand_cap_admits_one_hundred(monkeypatch):
+    class Searched(Exception):
+        pass
+
+    def search(k):
+        raise Searched
+
+    monkeypatch.setattr(braid, "conjugacy_class_reps", search)
+    with pytest.raises(Searched):
+        run(["braid-search", "--n", "100", "--k", "8"])
+
+
+def _no_gallery_images(monkeypatch, build):
+    for name in ("standard_mu", "doubling_hom", "lattice_hom"):
+        monkeypatch.setattr(braid, name, build)
+
+
+def test_braid_gallery_degree_capacity(capsys, monkeypatch):
+    def no_images(*args):
+        raise AssertionError("images built before the degree check")
+
+    _no_gallery_images(monkeypatch, no_images)
+    # mu --n 100000 would build n - 1 tuples of length n, about 80 GB
+    for argv, k in ((["mu", "--n", "100000"], 100000),
+                    (["mu", "--n", "33"], 33),
+                    (["phi1", "--n", "17"], 34),
+                    (["phi2", "--n", "17"], 34),
+                    (["phi3", "--n", "17"], 34),
+                    (["phixy", "--n", "11", "--r", "3", "--x", "1", "--y",
+                      "2"], 33),
+                    (["phixy", "--n", "2", "--r", "1000", "--x", "0", "--y",
+                      "1"], 2000)):
+        assert run(["braid-gallery", "--name", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "capped at degree k = 32" in captured.err
+        assert "got k = %d" % k in captured.err
+
+
+def test_braid_gallery_degree_cap_admits_thirty_two(monkeypatch):
+    class Built(Exception):
+        pass
+
+    def build(*args):
+        raise Built
+
+    _no_gallery_images(monkeypatch, build)
+    for argv in (["mu", "--n", "32"], ["phi3", "--n", "16"],
+                 ["phixy", "--n", "16", "--r", "2", "--x", "1", "--y", "1"]):
+        with pytest.raises(Built):
+            run(["braid-gallery", "--name", *argv])
 
 
 def test_abc_command(capsys):

@@ -25,7 +25,7 @@ _PROBE = """
 import io, json, sys
 import confspace.cli
 
-HEAVY = ("dataclasses", "decimal", "fractions")
+HEAVY = ("dataclasses", "decimal", "fractions", "numbers")
 
 def layers():
     return sorted(m.split(".", 1)[1] for m in sys.modules
