@@ -383,9 +383,7 @@ class SymHom(_Value):
     __slots__ = ("n", "k", "images", "presentation")
 
     def __init__(self, n, k, images, presentation=ARTIN):
-        if n < 2 or k < 1:
-            raise ValueError("need n >= 2 strands and degree k >= 1, got "
-                             "n = %d, k = %d" % (n, k))
+        _check_sizes(n, k)
         bad = check_relations(images, n, k, presentation)
         if bad is not None:
             raise ValueError("defining relation violated: %s" % (bad,))
@@ -399,6 +397,24 @@ class SymHom(_Value):
             raise ValueError("mismatched strand counts")
         gens = [_tuple(im) for im in self.images]
         return _perm(_word_image(gens, w.letters, self.k))
+
+
+def _check_sizes(n, k):
+    if n < 2 or k < 1:
+        raise ValueError("need n >= 2 strands and degree k >= 1, got "
+                         "n = %d, k = %d" % (n, k))
+
+
+def _hom(n, k, images):
+    """The SymHom with the generator image tuples _hom_images built, its
+    relations unchecked (as _perm for tuples): conjugation has carried
+    those of image 1 to all the others."""
+    _check_sizes(n, k)
+    h = object.__new__(SymHom)
+    for name, value in zip(SymHom.__slots__,
+                           (n, k, tuple(map(_perm, images)), ARTIN)):
+        object.__setattr__(h, name, value)
+    return h
 
 
 def check_relations(images, n, k, presentation=ARTIN):
@@ -440,7 +456,7 @@ def hom_from_pair(s, a, n, k):
     images = _hom_images(_tuple(s), _tuple(a), n, {})
     if images is None:
         return None
-    return SymHom(n, k, tuple(map(_perm, images)))
+    return _hom(n, k, images)
 
 
 def is_transitive(h):
@@ -685,16 +701,16 @@ def search_homs(n, k):
     labeled.
     """
     # the relation checks grow as n^2; n = 100, k = 8, the slowest accepted
-    # call, takes about 0.8 s for one CLI call (medians of 5 in two runs,
-    # 0.79 and 0.81 s; 2 CPUs, Python 3.11.7)
+    # call, takes about 0.5 s for one CLI call (medians of 8 and 10 in two
+    # runs, 0.46 and 0.48 s; 2 CPUs, Python 3.11.7)
     if k > 8:
         raise CapacityError(
             "exhaustive search supported for k <= 8, the measured budget "
-            "(the slowest accepted call, n = 100, k = 8, takes about 0.8 s)")
+            "(the slowest accepted call, n = 100, k = 8, takes about 0.5 s)")
     if n > 100:
         raise CapacityError(
             "exhaustive search capped at n = 100 strands (the slowest "
-            "accepted call, n = 100, k = 8, takes about 0.8 s), got n = %d"
+            "accepted call, n = 100, k = 8, takes about 0.5 s), got n = %d"
             % n)
     if n < 3:
         raise ValueError("need at least three strands")
@@ -736,7 +752,7 @@ def search_homs(n, k):
             tuple(images),
         )
 
-    return [hom_class(SymHom(n, k, tuple(map(_perm, images))))
+    return [hom_class(_hom(n, k, images))
             for images in sorted(classes.values(), key=sort_key)]
 
 

@@ -72,7 +72,8 @@ def _cmd_complex(args):
 # canonical_form costs up to about n L^2 (walks across the whole factor
 # list) plus n^2 L (up to n(n-1)/2 crossings moved per step) for L letters
 # on n strands; at this cap the slowest words measured take about 3 s
-# each (2 CPUs, Python 3.11.7)
+# each (2 CPUs, Python 3.11.7).  An empty word counts as one letter, since
+# canonical_form builds permutations of length n before reading any
 _WORD_WORK_LIMIT = 10 ** 7
 
 
@@ -82,7 +83,7 @@ def _cmd_braid_equal(args):
     lhs = braid.BraidWord.parse(args.n, args.lhs)
     rhs = braid.BraidWord.parse(args.n, args.rhs)
     for w in (lhs, rhs):
-        n, length = w.n, len(w.letters)
+        n, length = w.n, len(w.letters) or 1
         if n * length * (n + length) > _WORD_WORK_LIMIT:
             raise CapacityError(
                 "braid words capped at n * L * (n + L) <= %d (n strands, L "

@@ -18,12 +18,13 @@ import math
 import random
 
 from .polyring import (
-    BinaryForm,
     MultiPoly,
     cubic_discriminant,
     cubic_resultant,
     discriminant_monic,
     discriminant_of,
+    form_partial,
+    form_product,
     resultant,
 )
 
@@ -111,9 +112,9 @@ def _nine_factors(q):
 def feler_nine_form():
     """The degree-9 form in q1, q2, q3: the product of its three cubic
     factors, expanded."""
-    f1, f2, f3 = (BinaryForm(3, f) for f in _nine_factors(
-        (MultiPoly.var("q1"), MultiPoly.var("q2"), MultiPoly.var("q3"))))
-    return f1.multiply(f2).multiply(f3)
+    f1, f2, f3 = _nine_factors(
+        (MultiPoly.var("q1"), MultiPoly.var("q2"), MultiPoly.var("q3")))
+    return form_product(form_product(f1, f2), f3)
 
 
 # Verified constant of the degree-9 identity.  The source text prints the
@@ -187,12 +188,12 @@ def feler_nine_symbolic():
     at formal degree 3 where a leading coefficient vanishes.
     """
     form = feler_nine_form()
-    for i, c in enumerate(form.coeffs):
+    for i, c in enumerate(form):
         if not c.is_homogeneous(6 + i):
             return {"pass": False, "stage": "coefficient-homogeneity",
                     "witness": i}
     swap = {"q1": MultiPoly.var("q2"), "q2": MultiPoly.var("q1")}
-    for i, c in enumerate(form.coeffs):
+    for i, c in enumerate(form):
         if c.substitute(swap) != -c:
             return {"pass": False, "stage": "swap-antisymmetry",
                     "witness": i}
@@ -239,31 +240,25 @@ def eisenstein(z):
 
 
 def hesse_form(z):
-    """The weighted cubic with coefficient quadruple z."""
+    """The weighted cubic z0*x^3 + 3*z1*x^2*y + 3*z2*x*y^2 + z3*y^3 of the
+    coefficient quadruple z, as a coefficient list."""
     z0, z1, z2, z3 = z
-    return BinaryForm(3, [z0, 3 * z1, 3 * z2, z3])
+    return [z0, 3 * z1, 3 * z2, z3]
 
 
 def cayley_eisenstein(f):
-    """Jacobian of a cubic form and its Hessian, as a cubic form."""
-    if f.degree != 3:
+    """Jacobian of a cubic form (a coefficient list) and its Hessian, as a
+    cubic form."""
+    if len(f) != 4:
         raise ValueError("needs a cubic form")
-    phi = f.to_multipoly()
-    px, py = phi.derivative("x"), phi.derivative("y")
-    pxx, pxy, pyy = px.derivative("x"), px.derivative("y"), py.derivative("y")
-    hess = pxx * pyy - pxy * pxy
-    hx, hy = hess.derivative("x"), hess.derivative("y")
-    jac = px * hy - py * hx
-    coeffs = []
-    for i in range(4):
-        ci = MultiPoly.zero()
-        for mono, c in jac.terms.items():
-            d = dict(mono)
-            if d.get("x", 0) == 3 - i and d.get("y", 0) == i:
-                rest = tuple((v, e) for v, e in mono if v not in ("x", "y"))
-                ci = ci + MultiPoly({rest: c})
-        coeffs.append(ci)
-    return BinaryForm(3, coeffs)
+    px, py = form_partial(f, "x"), form_partial(f, "y")
+    pxx, pxy = form_partial(px, "x"), form_partial(px, "y")
+    pyy = form_partial(py, "y")
+    hess = [a - b for a, b in zip(form_product(pxx, pyy),
+                                  form_product(pxy, pxy))]
+    hx, hy = form_partial(hess, "x"), form_partial(hess, "y")
+    return [a - b for a, b in zip(form_product(px, hy),
+                                  form_product(py, hx))]
 
 
 # the coordinate changes that preserve the weighted coefficient shape, as
@@ -292,10 +287,10 @@ def cayley_comparison():
     jac = cayley_eisenstein(hesse_form(e))
     target = hesse_form(eisenstein(e))
     for label, tf in _CAYLEY_TRANSFORMS.items():
-        cand = tf(list(target.coeffs))
+        cand = tf(target)
         ratio = None
         ok = True
-        for a, b in zip(jac.coeffs, cand):
+        for a, b in zip(jac, cand):
             if a.is_zero() and b.is_zero():
                 continue
             if a.is_zero() != b.is_zero():
@@ -395,16 +390,14 @@ def _tame_action_identity(z, w, disc):
     the weighted cubic of z, psi that of its image w under y -> -y, and
     (A, B, C) from tame_matrix(z): the map then carries the roots of phi
     onto those of psi.  The arguments are all ints or all MultiPoly."""
-    z0, z1, z2, z3 = z
     A, B, C = tame_matrix(z)
-    phi = (z0, 3 * z1, 3 * z2, z3)
-    psi = (w[0], -3 * w[1], 3 * w[2], -w[3])
+    psi = _CAYLEY_TRANSFORMS["y -> -y"](hesse_form(w))
     composed = [0, 0, 0, 0]
-    for i, c in enumerate(phi):
-        # c * (Ax + B)^(3-i) * (Cx - A)^i, coefficients descending in x
+    for i, c in enumerate(hesse_form(z)):
+        # c * (Ax + B)^(3-i) * (Cx - A)^i
         term = [c]
-        for p, q in [(A, B)] * (3 - i) + [(C, -A)] * i:
-            term = [a * p + b * q for a, b in zip(term + [0], [0] + term)]
+        for factor in [[A, B]] * (3 - i) + [[C, -A]] * i:
+            term = form_product(term, factor)
         composed = [s + t for s, t in zip(composed, term)]
     return all(s == -disc * t for s, t in zip(composed, psi))
 

@@ -1,16 +1,16 @@
 """Exact sparse multivariate polynomial arithmetic over the integers.
 
-Everything here is immutable and hashable, so values can be shared freely.
+A MultiPoly is immutable and hashable, so values can be shared freely.
 Coefficients are Python ints; rationals (``Fraction``) enter only at
-evaluation points, never inside ring arithmetic.
+evaluation points, never inside ring arithmetic.  A binary form is a plain
+list of its coefficients, leading x first: [c_0, ..., c_n] is
+sum c_i x^(n-i) y^i, with ints or MultiPoly as coefficients.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-
-from . import _Value
 
 # A monomial is a tuple of (variable, exponent) pairs, sorted by variable
 # name, with all exponents > 0.  The empty tuple is the constant monomial.
@@ -223,22 +223,7 @@ class MultiPoly:
     def __bool__(self):
         return bool(self._terms)
 
-    # -- calculus and substitution ----------------------------------------
-
-    def derivative(self, var):
-        out = {}
-        for mono, c in self._terms.items():
-            d = dict(mono)
-            e = d.get(var, 0)
-            if e == 0:
-                continue
-            if e == 1:
-                del d[var]
-            else:
-                d[var] = e - 1
-            m = tuple(sorted(d.items()))
-            out[m] = out.get(m, 0) + c * e
-        return MultiPoly(out)
+    # -- scaling, substitution and evaluation ------------------------------
 
     def scalar_divide(self, k):
         """Divide every coefficient by the integer k; must be exact."""
@@ -531,45 +516,27 @@ def _bareiss(a, step):
 # ---------------------------------------------------------------------------
 
 
-class BinaryForm(_Value):
-    """Homogeneous form of degree n in (x, y) with polynomial coefficients.
+def form_product(f, g):
+    """Product of two binary forms (coefficient lists, leading x first)."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = out[i + j] + a * b
+    return out
 
-    coeffs[i] multiplies x^(n-i) * y^i.
+
+def form_partial(f, var):
+    """Partial derivative of a binary form in "x" or "y".
+
+    Read at (x, y) = (1, t), the result lists the coefficients of f_x(1, t)
+    or f_y(1, t) by ascending power of t.
     """
-
-    __slots__ = ("degree", "coeffs")
-
-    def __init__(self, degree, coeffs):
-        coeffs = tuple(
-            c if isinstance(c, MultiPoly) else MultiPoly.const(c)
-            for c in coeffs
-        )
-        if degree < 0:
-            raise ValueError("degree must be non-negative")
-        if len(coeffs) != degree + 1:
-            raise ValueError("need exactly degree+1 coefficients")
-        if all(c.is_zero() for c in coeffs):
-            raise ValueError("the zero form is not a valid BinaryForm")
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def multiply(self, other):
-        n, m = self.degree, other.degree
-        out = [MultiPoly.zero()] * (n + m + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return BinaryForm(n + m, out)
-
-    def to_multipoly(self):
-        """The form as a polynomial in the variables "x" and "y"."""
-        n = self.degree
-        acc = MultiPoly.zero()
-        for i, c in enumerate(self.coeffs):
-            acc = acc + c * MultiPoly.var("x", n - i) * MultiPoly.var("y", i)
-        return acc
+    n = len(f) - 1
+    if var == "x":
+        return [c * (n - i) for i, c in enumerate(f[:-1])]
+    if var == "y":
+        return [c * i for i, c in enumerate(f) if i]
+    raise ValueError("var must be 'x' or 'y', got %r" % (var,))
 
 
 def sylvester_matrix(f, g):
@@ -592,12 +559,12 @@ def sylvester_matrix(f, g):
 
 
 def resultant(f, g):
-    """Sylvester resultant of two forms or coefficient sequences.
+    """Sylvester resultant of two binary forms (coefficient sequences,
+    leading first).
 
     Zero iff the inputs share a projective root over the closure.
     """
-    fc = f.coeffs if isinstance(f, BinaryForm) else list(f)
-    gc = g.coeffs if isinstance(g, BinaryForm) else list(g)
+    fc, gc = list(f), list(g)
     if all(_is_zero(c) for c in fc) or all(_is_zero(c) for c in gc):
         raise ValueError("resultant of the zero polynomial is undefined")
     if len(fc) < 2 or len(gc) < 2:
@@ -628,8 +595,7 @@ def discriminant_of(coeffs):
         ints = all(isinstance(c, int) for c in coeffs)
         return 1 if ints else MultiPoly.one()
     # coefficients of u and v, by ascending power of t
-    u = [c * (n - i) for i, c in enumerate(coeffs[:-1])]
-    v = [c * i for i, c in enumerate(coeffs) if i]
+    u, v = form_partial(coeffs, "x"), form_partial(coeffs, "y")
     size = n - 1
     bez = [[0] * size for _ in range(size)]
     for i in reversed(range(size)):

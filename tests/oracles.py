@@ -1,8 +1,9 @@
 """Independent reference implementations used only to check the library.
 
 These deliberately avoid the code paths they validate: determinants by
-cofactor expansion, evaluation by direct term arithmetic, polynomial
-division by re-sorting the remainder at every step, gcds by a remainder
+cofactor expansion, evaluation and partial derivatives by direct term
+arithmetic, polynomial division by re-sorting the remainder at every
+step, gcds by a remainder
 sequence, orbit representatives by exhaustive relabeling, normal forms
 case by case on pairwise-checked simplices,
 homomorphism classes by Perm products, closures and pairwise conjugacy
@@ -105,6 +106,19 @@ def eval_terms(poly, assignment):
             val *= Fraction(assignment[var]) ** exp
         total += val
     return total
+
+
+def poly_derivative(poly, var):
+    """Partial derivative of a MultiPoly in one variable, term by term."""
+    out = {}
+    for mono, coeff in poly.terms.items():
+        exps = dict(mono)
+        e = exps.get(var, 0)
+        if e:
+            exps[var] = e - 1
+            key = tuple((v, x) for v, x in exps.items() if x)
+            out[key] = out.get(key, 0) + coeff * e
+    return MultiPoly(out)
 
 
 def exact_divide_sorting(f, g):

@@ -487,10 +487,12 @@ def test_mu_properties():
 
 @pytest.mark.parametrize("n,k", [
     (3, 3), (3, 4), (3, 5), (3, 6), (3, 7), (4, 4), (4, 5), (4, 6), (4, 7),
-    (5, 5), (5, 6), (6, 6), (6, 7), (7, 7), (8, 8)])
+    (5, 5), (5, 6), (6, 6), (6, 7), (7, 7), (8, 8), (100, 8)])
 def test_chain_matches_closure_on_every_class(n, k):
     for c in search_homs(n, k):
         h = c["hom"]
+        # search_homs builds its classes without re-checking the relations
+        assert check_relations(h.images, n, k) is None
         assert c["image_order"] == len(perm_closure(h.images, k))
         assert c["transitive"] == _perm_transitive(h.images, k)
         assert is_transitive(h) == c["transitive"]

@@ -73,6 +73,13 @@ def test_braid_equal_capacity(capsys, monkeypatch):
     assert captured.out == ""
     assert "n * L * (n + L) <= 10000000" in captured.err
     assert "L = 2000" in captured.err
+    # an empty word counts as one letter: canonical_form would still build
+    # permutations of length n
+    assert run(["braid-equal", "--n", "1000000000", "--lhs", "",
+                "--rhs", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "got n = 1000000000, L = 1" in captured.err
 
 
 def test_complex_capacity(capsys, monkeypatch):

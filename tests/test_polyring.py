@@ -6,7 +6,6 @@ import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 
 from confspace.polyring import (
-    BinaryForm,
     MultiPoly,
     bareiss_det,
     cubic_discriminant,
@@ -14,6 +13,8 @@ from confspace.polyring import (
     discriminant_monic,
     discriminant_of,
     discriminant_projective,
+    form_partial,
+    form_product,
     resultant,
     sylvester_matrix,
 )
@@ -318,9 +319,7 @@ def test_cubic_product_route_matches_expanded_discriminant():
             f[0] = 0
         fs = [f if any(f) else [1, 0, 0, 0] for f in fs]
         f1, f2, f3 = fs
-        form = BinaryForm(3, f1).multiply(BinaryForm(3, f2)).multiply(
-            BinaryForm(3, f3))
-        product = [c.constant_value() for c in form.coeffs]
+        product = form_product(form_product(f1, f2), f3)
         route = (cubic_discriminant(f1) * cubic_discriminant(f2)
                  * cubic_discriminant(f3) * (cubic_resultant(f1, f2)
                  * cubic_resultant(f2, f3) * cubic_resultant(f3, f1)) ** 2)
@@ -370,6 +369,49 @@ def _sympy_poly(expr, names):
     gens = sympy.symbols(names)
     return MultiPoly({tuple(zip(names, exps)): int(c)
                       for exps, c in sympy.Poly(expr, *gens).terms()})
+
+
+# the variables of a form and of rand_poly's coefficients
+_FORM_GENS = sympy.symbols("x y v0 v1 v2")
+
+
+def _sympy_form(f):
+    """A coefficient list, leading x first, as a sympy Poly."""
+    n = len(f) - 1
+    terms = {}
+    for i, c in enumerate(f):
+        for mono, k in (c.terms.items() if isinstance(c, MultiPoly)
+                        else [((), c)]):
+            exps = dict(mono)
+            key = (n - i, i, *(exps.get("v%d" % j, 0) for j in range(3)))
+            terms[key] = terms.get(key, 0) + k
+    return sympy.Poly.from_dict(terms, *_FORM_GENS)
+
+
+def _rand_form(rng, kind, degree):
+    if kind == "int":
+        return [rng.randint(-9, 9) for _ in range(degree + 1)]
+    return [rand_poly(rng) for _ in range(degree + 1)]
+
+
+@pytest.mark.parametrize("kind", ["int", "poly"])
+def test_form_product_and_partial_match_sympy(kind):
+    rng = random.Random(83)
+    for n in range(7):
+        for m in range(7):
+            f, g = _rand_form(rng, kind, n), _rand_form(rng, kind, m)
+            fg = form_product(f, g)
+            assert len(fg) == n + m + 1
+            assert _sympy_form(fg) == _sympy_form(f) * _sympy_form(g)
+        for var, gen in zip("xy", _FORM_GENS):
+            df = form_partial(f, var)
+            assert len(df) == n
+            assert _sympy_form(df) == _sympy_form(f).diff(gen)
+            # int forms stay int, as discriminant_of's int path needs
+            if kind == "int":
+                assert all(type(c) is int for c in df + fg)
+    with pytest.raises(ValueError):
+        form_partial([1, 2], "z")
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -455,26 +497,6 @@ def test_inexact_division_raises(q, g, r):
     for divide in (MultiPoly.exact_divide, exact_divide_sorting):
         with pytest.raises(ValueError):
             divide(f, g)
-
-
-def test_binary_form_validation():
-    with pytest.raises(ValueError):
-        BinaryForm(2, [MultiPoly.zero()] * 3)
-    with pytest.raises(ValueError):
-        BinaryForm(2, [MultiPoly.one()] * 2)
-
-
-def test_binary_form_coefficients_must_be_integral():
-    with pytest.raises(ValueError, match=r"Fraction\(1, 2\).*not an integer"):
-        BinaryForm(2, [Fraction(1, 2), 0, 1])
-    # integral non-int numbers become constants, as ints do
-    assert BinaryForm(2, [Fraction(2), 0, 1]) == BinaryForm(2, [2, 0, 1])
-
-
-def test_binary_form_product_degree():
-    f = BinaryForm(2, [1, 0, -1])
-    g = BinaryForm(1, [1, 1])
-    assert f.multiply(g).degree == 3
 
 
 def test_json_round_trip():

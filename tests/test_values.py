@@ -8,7 +8,6 @@ import pickle
 import pytest
 
 from confspace import _Value, braid, morphisms, polyring, ratios
-from confspace.polyring import MultiPoly
 
 LAYERS = (braid, morphisms, polyring, ratios)
 
@@ -33,7 +32,6 @@ EXAMPLES = {
     "RatioVertex": lambda: ratios.cr_vertex(2, 1, 4, 3),
     "DiffProduct": lambda: ratios.DiffProduct.from_factors(
         [((2, 1), 1), ((2, 3), -1)]),
-    "BinaryForm": lambda: polyring.BinaryForm(2, [1, MultiPoly.var("t"), -1]),
 }
 
 
