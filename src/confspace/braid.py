@@ -714,6 +714,7 @@ def search_homs(n, k):
             % n)
     if n < 3:
         raise ValueError("need at least three strands")
+    _check_sizes(n, k)
     # one pass over S(k): the t != s of each representative's class that
     # braid with it
     partners = {rep.cycle_type(): (_tuple(rep), [])

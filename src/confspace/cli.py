@@ -132,10 +132,10 @@ def _cmd_braid_gallery(args):
 
 
 # the sampled gallery checks take time linear in the trial count; at this
-# cap the slowest, feler9, takes about 0.2 s for one CLI call (medians of 5
-# in three runs: 0.17, 0.18 and 0.25 s), ferrari and tame-eisenstein 0.13 to
-# 0.19 s, covering 0.09 to 0.16 s and the symbolic checks about 0.1 s
-# (2 CPUs, Python 3.11.7)
+# cap the slowest, feler9, takes about 0.18 s for one CLI call (medians of 5
+# in six runs: 0.14 to 0.20 s), ferrari 0.13 to 0.19 s, tame-eisenstein
+# 0.13 to 0.19 s, covering 0.11 to 0.15 s and the symbolic checks 0.07 to
+# 0.11 s (2 CPUs, Python 3.11.7)
 _TRIALS_LIMIT = 2000
 
 
@@ -147,7 +147,7 @@ def _cmd_gallery_verify(args):
     if args.trials > _TRIALS_LIMIT:
         raise CapacityError(
             "gallery-verify capped at %d trials (feler9, the slowest, "
-            "takes about 0.2 s at the cap), got %d"
+            "takes about 0.18 s at the cap), got %d"
             % (_TRIALS_LIMIT, args.trials))
     rng = random.Random(args.seed)
     check = morphisms.GALLERY_CHECKS[args.name]

@@ -5,8 +5,11 @@ maps, and the discriminant-power coverings, each with exact verification.
 Every check computes on ints at its samples and on MultiPoly for its
 identities.  Symbolic claims are checked in the polynomial ring; the one
 identity too heavy to expand directly (the degree-9 form discriminant) has
-an exact sampled mode and an exact lattice-evaluation mode that together
-certify it.  The involution's action on roots is a polynomial identity
+an exact sampled mode and an exact lattice-evaluation mode.  Both evaluate
+the form's three cubic factors (_nine_factors) at integer points, with one
+resultant per point since the factors sum to zero; the certificate checks
+that sum, the degrees and the swap symmetry on the symbolic factors before
+the lattice.  The involution's action on roots is a polynomial identity
 too, checked in the ring and at sampled integer cubics; no check uses
 floating point.
 """
@@ -101,20 +104,17 @@ def _nine_factors(q):
     ints or MultiPoly, as coefficient lists descending in x:
     f_ab = w_a (x - q_a y)^3 - w_b (x - q_b y)^3 for (a, b) = (1, 2),
     (2, 3), (3, 1), with w_1 = (q2 - q3)^2, w_2 = (q3 - q1)^2 and
-    w_3 = (q1 - q2)^2."""
+    w_3 = (q1 - q2)^2.  With s_a = w_a q_a, t_a = s_a q_a and
+    u_a = t_a q_a, f_ab is (w_a - w_b, 3(s_b - s_a), 3(t_a - t_b),
+    u_b - u_a)."""
     q1, q2, q3 = q
-    cubes = [(1, -3 * t, 3 * t * t, -t ** 3) for t in q]
-    w = [(q2 - q3) ** 2, (q3 - q1) ** 2, (q1 - q2) ** 2]
-    return [[w[a] * x - w[b] * y for x, y in zip(cubes[a], cubes[b])]
-            for a, b in ((0, 1), (1, 2), (2, 0))]
-
-
-def feler_nine_form():
-    """The degree-9 form in q1, q2, q3: the product of its three cubic
-    factors, expanded."""
-    f1, f2, f3 = _nine_factors(
-        (MultiPoly.var("q1"), MultiPoly.var("q2"), MultiPoly.var("q3")))
-    return form_product(form_product(f1, f2), f3)
+    w1, w2, w3 = (q2 - q3) ** 2, (q3 - q1) ** 2, (q1 - q2) ** 2
+    s1, s2, s3 = w1 * q1, w2 * q2, w3 * q3
+    t1, t2, t3 = s1 * q1, s2 * q2, s3 * q3
+    u1, u2, u3 = t1 * q1, t2 * q2, t3 * q3
+    return ([w1 - w2, 3 * (s2 - s1), 3 * (t1 - t2), u2 - u1],
+            [w2 - w3, 3 * (s3 - s2), 3 * (t2 - t3), u3 - u2],
+            [w3 - w1, 3 * (s1 - s3), 3 * (t3 - t1), u1 - u3])
 
 
 # Verified constant of the degree-9 identity.  The source text prints the
@@ -131,12 +131,17 @@ def feler_nine_rhs_value(q):
 
 def _nine_disc_int(q):
     """discriminant_of(F) for the degree-9 form F = f1 f2 f3 at an integer
-    point, as disc(f1) disc(f2) disc(f3)
-    (res(f1, f2) res(f2, f3) res(f3, f1))^2."""
+    point, as disc(f1) disc(f2) disc(f3) res(f1, f2)^6.
+
+    That is disc(f1) disc(f2) disc(f3) (res(f1, f2) res(f2, f3)
+    res(f3, f1))^2, and the three resultants are one integer: f1 + f2 + f3
+    = 0 (the certificate checks it symbolically), cubic_resultant reads its
+    arguments only through the brackets [f, g]_ij = f_i g_j - f_j g_i, and
+    [f2, f3] = [f2, -f1 - f2] = [f1, f2] = [f3, f1].
+    """
     f1, f2, f3 = _nine_factors(q)
     return (cubic_discriminant(f1) * cubic_discriminant(f2)
-            * cubic_discriminant(f3) * (cubic_resultant(f1, f2)
-            * cubic_resultant(f2, f3) * cubic_resultant(f3, f1)) ** 2)
+            * cubic_discriminant(f3) * cubic_resultant(f1, f2) ** 6)
 
 
 # the sampled identity checks draw integer coordinates uniformly from
@@ -150,11 +155,12 @@ def feler_nine_sampled(trials=20, rng=None):
     Points are drawn uniformly from [-_SAMPLE_BOUND, _SAMPLE_BOUND]^3 with
     distinct coordinates; per-trial failure chance for a wrong identity is
     at most total degree / (2*_SAMPLE_BOUND) by the standard zero-test bound
-    (total degree here is at most 240).  The left-hand side at a point is
-    discriminant_of(F) for the form F, which at n = 9 is the standard
-    discriminant of f1 f2 f3: the product of the standard (closed-form)
-    discriminants of the cubic factors and their squared resultants, whose
-    signs cancel in the squares.
+    (both sides have degree 168, derived in feler_nine_symbolic).  The
+    left-hand side at a point is discriminant_of(F) for the form F, which
+    at n = 9 is the standard discriminant of f1 f2 f3: the product of the
+    standard (closed-form) discriminants of the cubic factors and their
+    squared pairwise resultants, one integer to the sixth power
+    (_nine_disc_int).
     """
     rng = rng or random.Random(0)
     for t in range(trials):
@@ -171,32 +177,53 @@ def feler_nine_sampled(trials=20, rng=None):
 def feler_nine_symbolic():
     """Exact certification of the degree-9 discriminant identity.
 
-    Checks, in order: every coefficient of the form is homogeneous of
-    degree 6+i and antisymmetric under swapping the first two marks (the
-    form is the product of the _nine_factors that each lattice point
-    evaluates, so these stages hold of the factors the lattice uses).  The
-    discriminant of a degree-9 form has degree 16 and weight 72 in its
-    coefficients, so with coefficient i of degree 6+i the left-hand side is
-    homogeneous of degree 16*6 + 72 = 168, as is the right-hand side, delta
-    of degree 3 to the 56th.  A degree-168 homogeneous polynomial
-    vanishes identically iff it vanishes at every point of the principal
-    lattice a+b <= 168 in the plane q3 = 1, so exact integer evaluation on
-    that lattice (halved by the symmetry) decides the identity.  Each
-    point's discriminant_of(F), +1 times the standard discriminant at n = 9,
-    is the product of the standard cubic discriminants of f1, f2, f3 and
-    their squared pairwise resultants (any resultant sign cancels), exact
-    at formal degree 3 where a leading coefficient vanishes.
+    The stages check the _nine_factors f1, f2, f3 at symbolic q, the
+    polynomials every lattice point evaluates.  In order:
+
+    - coefficient-homogeneity: coefficient i of each factor is homogeneous
+      of degree 2 + i (witness: [j, i] for coefficient i of f_j);
+    - factor-sum: f1 + f2 + f3 == 0, the hypothesis under which
+      _nine_disc_int takes one resultant for three (witness: i);
+    - swap-antisymmetry: swapping q1 and q2 sends f1 to -f1, f2 to -f3 and
+      f3 to -f2 (witness: [j, i]);
+    - lattice: exact evaluation of both sides on the principal lattice.
+
+    The degree: a cubic discriminant has degree 4 and weight 6 in the
+    coefficients, so with coefficient i of degree 2 + i it has degree
+    4*2 + 6 = 14 in q; the resultant of two cubics has bidegree (3, 3) and
+    weight 9, so degree 6*2 + 9 = 21.  The left-hand side
+    disc(f1) disc(f2) disc(f3) res(f1, f2)^6 is then homogeneous of degree
+    3*14 + 6*21 = 168, as is the right-hand side, delta of degree 3 to the
+    56th.  A degree-168 homogeneous polynomial vanishes identically iff it
+    vanishes at every point of the principal lattice a+b <= 168 in the
+    plane q3 = 1, so exact integer evaluation on that lattice decides the
+    identity.  Both sides are symmetric under q1 <-> q2: by the swap
+    relations the left-hand side becomes disc(-f1) disc(-f3) disc(-f2)
+    res(-f1, -f3)^6, a cubic discriminant has even degree 4, and
+    res(-f1, -f3) = res(f1, f3) = -res(f3, f1) = -res(f1, f2) enters to the
+    sixth power; delta changes sign and enters to the 56th.  So the half
+    a <= b of the lattice suffices.  Each point's discriminant_of(F), +1
+    times the standard discriminant at n = 9, is _nine_disc_int, exact at
+    formal degree 3 where a leading coefficient vanishes.
     """
-    form = feler_nine_form()
-    for i, c in enumerate(form):
-        if not c.is_homogeneous(6 + i):
-            return {"pass": False, "stage": "coefficient-homogeneity",
-                    "witness": i}
-    swap = {"q1": MultiPoly.var("q2"), "q2": MultiPoly.var("q1")}
-    for i, c in enumerate(form):
-        if c.substitute(swap) != -c:
-            return {"pass": False, "stage": "swap-antisymmetry",
-                    "witness": i}
+    q1, q2, q3 = (MultiPoly.var("q1"), MultiPoly.var("q2"),
+                  MultiPoly.var("q3"))
+    factors = _nine_factors((q1, q2, q3))
+    for j, f in enumerate(factors, 1):
+        for i, c in enumerate(f):
+            if not c.is_homogeneous(2 + i):
+                return {"pass": False, "stage": "coefficient-homogeneity",
+                        "witness": [j, i]}
+    f1, f2, f3 = factors
+    for i, (x, y, z) in enumerate(zip(f1, f2, f3)):
+        if not (x + y + z).is_zero():
+            return {"pass": False, "stage": "factor-sum", "witness": i}
+    swap = {"q1": q2, "q2": q1}
+    for j, (f, g) in enumerate(zip(factors, (f1, f3, f2)), 1):
+        for i, (x, y) in enumerate(zip(f, g)):
+            if x.substitute(swap) != -y:
+                return {"pass": False, "stage": "swap-antisymmetry",
+                        "witness": [j, i]}
     # both sides' degree, derived in the docstring
     degree = 168
     checked = 0

@@ -65,6 +65,7 @@ from confspace.polyring import (
     MultiPoly,
     bareiss_det,
     discriminant_monic,
+    form_product,
     sylvester_matrix,
 )
 from confspace.ratios import (
@@ -949,6 +950,14 @@ def _nine_form_int_coeffs(q):
 
     return int_poly_mul(int_poly_mul(factor(0, 1), factor(1, 2)),
                         factor(2, 0))
+
+
+def feler_nine_form():
+    """The degree-9 form in q1, q2, q3: the product of its three cubic
+    factors, expanded."""
+    f1, f2, f3 = morphisms._nine_factors(
+        (MultiPoly.var("q1"), MultiPoly.var("q2"), MultiPoly.var("q3")))
+    return form_product(form_product(f1, f2), f3)
 
 
 def nine_form_disc_expanded(q):

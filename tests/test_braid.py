@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
+from confspace import braid
 from confspace.braid import (
     SPHERE,
     BraidWord,
@@ -568,6 +569,16 @@ def test_conjugacy_dimension_guard():
 def test_search_capacity_guard():
     with pytest.raises(CapacityError):
         search_homs(4, 9)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_search_refuses_degree_below_one_up_front(monkeypatch, k):
+    def no_search(k):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(braid, "conjugacy_class_reps", no_search)
+    with pytest.raises(ValueError, match="degree k >= 1"):
+        search_homs(3, k)
 
 
 def test_search_four_four():

@@ -19,7 +19,6 @@ from confspace.morphisms import (
     discriminant_value,
     eisenstein,
     feler_L,
-    feler_nine_form,
     feler_nine_sampled,
     feler_nine_symbolic,
     ferrari_symbolic,
@@ -34,6 +33,7 @@ from oracles import (
     _nine_form_int_coeffs,
     discriminant_int,
     discriminant_sylvester,
+    feler_nine_form,
     ferrari_fractions,
     ferrari_induced_permutation,
     identity_report,
@@ -219,6 +219,70 @@ def test_nine_factors_multiply_to_the_symbolic_form():
                 for k, z in enumerate(f3):
                     product[i + j + k] += x * y * z
         assert product == [c.evaluate(point) for c in form]
+
+
+_Q = (MultiPoly.var("q1"), MultiPoly.var("q2"), MultiPoly.var("q3"))
+_SWAP = {"q1": _Q[1], "q2": _Q[0]}
+
+
+def test_nine_form_level_checks_on_the_expanded_form():
+    # the checks the certificate once made on the expanded form: each
+    # coefficient i is homogeneous of degree 6 + i, and the form is
+    # antisymmetric under q1 <-> q2
+    form = feler_nine_form()
+    for i, c in enumerate(form):
+        assert c.is_homogeneous(6 + i), i
+        assert c.substitute(_SWAP) == -c, i
+
+
+def test_nine_factors_sum_to_zero_and_swap_up_to_sign():
+    f1, f2, f3 = morphisms._nine_factors(_Q)
+    assert all((x + y + z).is_zero() for x, y, z in zip(f1, f2, f3))
+    for f, g in ((f1, f1), (f2, f3), (f3, f2)):
+        assert [c.substitute(_SWAP) for c in f] == [-c for c in g]
+
+
+# mutations of the three factor lists, made in place at symbolic and at
+# integer points alike
+
+
+def _add_to_last_of_f1(q, fs):
+    fs[0][3] = fs[0][3] + 1
+
+
+def _add_q3_squared_to_f1(q, fs):
+    fs[0][0] = fs[0][0] + q[2] ** 2
+
+
+def _move_q1_squared_from_f2_to_f1(q, fs):
+    fs[0][0] = fs[0][0] + q[0] ** 2
+    fs[1][0] = fs[1][0] - q[0] ** 2
+
+
+def _double_every_factor(q, fs):
+    for f in fs:
+        f[:] = [2 * c for c in f]
+
+
+@pytest.mark.parametrize("mutate, stage, witness", [
+    (_add_to_last_of_f1, "coefficient-homogeneity", [1, 3]),
+    (_add_q3_squared_to_f1, "factor-sum", 0),
+    (_move_q1_squared_from_f2_to_f1, "swap-antisymmetry", [1, 0]),
+    (_double_every_factor, "lattice", [0, 2, 1]),
+])
+def test_each_certificate_stage_fails_under_its_name(
+        monkeypatch, mutate, stage, witness):
+    factors = morphisms._nine_factors
+
+    def mutated(q):
+        fs = factors(q)
+        mutate(q, fs)
+        return fs
+
+    monkeypatch.setattr(morphisms, "_nine_factors", mutated)
+    rep = feler_nine_symbolic()
+    assert (rep["pass"], rep["stage"], rep["witness"]) == (
+        False, stage, witness)
 
 
 # -- the cubic involution ------------------------------------------------------

@@ -308,6 +308,22 @@ def test_cubic_closed_forms_match_determinants(f, g):
     assert cubic_resultant(f, g) == bareiss_det(sylvester_matrix(f, g))
 
 
+_small_cubics = st.lists(st.integers(-50, 50) | st.just(0),
+                         min_size=4, max_size=4)
+
+
+@given(_small_cubics, _small_cubics)
+@example([0, 2, -1, 0], [0, 0, 1, 0])
+@example([0, 0, 0, 0], [5, -3, 0, 1])
+def test_cubic_resultant_is_cyclic_on_a_zero_sum_triple(f, g):
+    # the resultant reads its arguments only through the brackets
+    # f_i g_j - f_j g_i, and with f + g + h = 0 the three pairwise brackets
+    # agree: the one-resultant route of the degree-9 certificate
+    h = [-(a + b) for a, b in zip(f, g)]
+    assert cubic_resultant(f, g) == cubic_resultant(g, h) \
+        == cubic_resultant(h, f)
+
+
 def test_cubic_product_route_matches_expanded_discriminant():
     # discriminant_int at degree 9 carries (-1)^36 = +1, so it equals the
     # standard discriminant of the product: the standard cubic
