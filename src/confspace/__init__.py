@@ -7,8 +7,8 @@ Importing the package loads none of its layers; import the one you use
 
 from operator import attrgetter
 
-__all__ = ["CapacityError", "braid", "homology", "morphisms", "polyring",
-           "ratios"]
+__all__ = ["CapacityError", "braid", "homology", "identities", "morphisms",
+           "polyring", "ratios"]
 
 
 class CapacityError(RuntimeError):

@@ -179,9 +179,9 @@ def _cmd_disc(args):
 
 
 def _cmd_abc(args):
-    from . import ratios
+    from . import identities
 
-    report = ratios.verify_abc(args.n, args.bound)
+    report = identities.verify_abc(args.n, args.bound)
     return _emit(report, 0 if report["pass"] else 1)
 
 

@@ -291,14 +291,6 @@ class MultiPoly:
         """Canonically ordered [coefficient-string, {var: exp}] pairs."""
         return [[str(c), {v: e for v, e in mono}] for mono, c in self.sorted_terms()]
 
-    @classmethod
-    def from_json_terms(cls, data):
-        terms = {}
-        for coeff, expmap in data:
-            mono = tuple(sorted((str(v), e) for v, e in expmap.items()))
-            terms[mono] = terms.get(mono, 0) + int(coeff)
-        return cls(terms)
-
     def __repr__(self):
         if not self._terms:
             return "0"

@@ -5,9 +5,8 @@ Vertices are the rational functions (q_k-q_i)/(q_k-q_j) on three marks and
 another when their quotient is again such a function.  Pairwise divisors
 span simplices, each the sorted tuple of its vertices; the complexes here
 are the flag complexes of that relation, together with the symmetric-group
-action, orbit normal forms, the function catalogue on doubly punctured
-planes, and an exhaustive, exactly pruned search for three-term product
-identities.
+action and orbit normal forms.  The three-term identities among these
+functions are searched for in ``confspace.identities``.
 
 A subtlety the pure-family complexes depend on: two simple ratios sharing
 both base marks but not the top mark (sr_ijk and sr_ijl) have a cross ratio
@@ -21,9 +20,8 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import comb
 
-from . import CapacityError, _Value
+from . import _Value
 
 SR = "sr"
 CR = "cr"
@@ -138,26 +136,6 @@ class DiffProduct(_Value):
     def divide(self, other):
         return self * other.inverse()
 
-    @property
-    def support(self):
-        out = set()
-        for (a, b), _ in self.powers:
-            out.add(a)
-            out.add(b)
-        return frozenset(out)
-
-    def evaluate(self, values):
-        """Exact value at a point; indices map to Fractions."""
-        from fractions import Fraction
-
-        acc = Fraction(self.scalar)
-        for (a, b), e in self.powers:
-            d = Fraction(values[a]) - Fraction(values[b])
-            if d == 0:
-                raise ZeroDivisionError("marks %d and %d collide" % (a, b))
-            acc *= d ** e
-        return acc
-
 
 def as_diff_product(v):
     """Exact signed exponent-vector form of a vertex; injective."""
@@ -225,11 +203,6 @@ def _cr_slot4_frame(t, odd):
     raise ValueError("index not in tuple")
 
 
-def _sr_divisors_of_cr(cr):
-    a, b, c, d = cr.indices
-    return {(a, b, d), (b, a, c), (d, c, a), (c, d, b)}
-
-
 def divides_rule(nu, mu):
     """Index-replacement divisibility criterion; equals divides_oracle.
 
@@ -250,14 +223,22 @@ def divides_rule(nu, mu):
             return (i1 == i2) != (j1 == j2)
         return i1 == i2 and j1 == j2
     if nu.kind == CR and mu.kind == CR:
-        common = nu.support & mu.support
-        if len(common) != 3:
+        a, b = nu.indices, mu.indices
+        # x: the one mark of nu outside mu (marks are positive, so 0 is
+        # none yet); a second one, or none, leaves no 3-mark overlap
+        x = 0
+        for m in a:
+            if m not in b:
+                if x:
+                    return False
+                x = m
+        if not x:
             return False
-        x = next(iter(nu.support - common))
-        y = next(iter(mu.support - common))
-        return _cr_slot4_frame(nu.indices, x) == _cr_slot4_frame(mu.indices, y)
+        y = next(m for m in b if m not in a)
+        return _cr_slot4_frame(a, x) == _cr_slot4_frame(b, y)
     sr, cr = (nu, mu) if nu.kind == SR else (mu, nu)
-    return sr.indices in _sr_divisors_of_cr(cr)
+    a, b, c, d = cr.indices
+    return sr.indices in ((a, b, d), (b, a, c), (d, c, a), (c, d, b))
 
 
 # ---------------------------------------------------------------------------
@@ -305,30 +286,32 @@ def catalogue(n, family):
     return sorted(vs)
 
 
-def _frame_tops(n):
-    """Maximal simplices of cr(n): {cr(f1, f2, f3, x)} per ordered frame f."""
-    marks = range(1, n + 1)
-    return {frozenset(cr_vertex(*f, x) for x in marks if x not in f)
-            for f in itertools.permutations(marks, 3)}
-
-
-def _star_tops(n):
-    """Maximal simplices of sr(n): the stars sr(a, ., k) and sr(., a, k)."""
-    marks = range(1, n + 1)
-    tops = set()
-    for a, k in itertools.permutations(marks, 2):
-        rest = [x for x in marks if x not in (a, k)]
-        tops.add(frozenset(sr_vertex(a, x, k) for x in rest))
-        tops.add(frozenset(sr_vertex(x, a, k) for x in rest))
-    return tops
-
-
-def _from_infinity(v, inf):
-    """v with q_inf sent to infinity: cr(i, j, inf, k) becomes sr(i, j, k)."""
-    if inf not in v.indices:
-        return v
-    j, i, k = _cr_slot4_frame(v.indices, inf)
-    return sr_vertex(i, j, k)
+def _top_keys(n, family):
+    """The maximal simplices of a complex, each a tuple of the index tuples
+    of its vertices (see RatioComplex)."""
+    if family == SR:
+        marks = range(1, n + 1)
+        for a, k in itertools.permutations(marks, 2):
+            rest = [x for x in marks if x not in (a, k)]
+            yield tuple((a, x, k) for x in rest)
+            yield tuple((x, a, k) for x in rest)
+        return
+    # cr(n), or for "l" cr(n + 1) with q_inf sent to infinity:
+    # cr(i, j, inf, k) becomes sr(i, j, k)
+    inf = n + 1 if family == "l" else None
+    marks = range(1, (inf or n) + 1)
+    for f in itertools.permutations(marks, 3):
+        top = []
+        for x in marks:
+            if x in f:
+                continue
+            t = f + (x,)
+            if inf in t:
+                j, i, k = _cr_slot4_frame(t, inf)
+                top.append((i, j, k))
+            else:
+                top.append(klein_canonical(t))
+        yield tuple(top)
 
 
 class RatioComplex:
@@ -340,10 +323,11 @@ class RatioComplex:
     every simplex of dimension >= 1 lies in exactly one maximal simplex.
     The maximal simplices are listed directly: frames for "cr", stars on a
     common (top, numerator) or (top, denominator) for "sr", and for "l" the
-    frames of cr(n+1) with mark n+1 sent to infinity.  ``maximal_simplices``
-    holds them as sorted tuples of indices into ``vertices``; every vertex
-    pair in them is checked when the complex is built, with divides_rule
-    and, for "sr", a shared top mark.
+    frames of cr(n+1) with mark n+1 sent to infinity, each vertex as its
+    index tuple (``_top_keys``), with no vertex object made per frame slot.
+    ``maximal_simplices`` holds them as sorted tuples of indices into
+    ``vertices``; every vertex pair in them is checked when the complex is
+    built, with divides_rule and, for "sr", a shared top mark.
     Every list is sorted.
     """
 
@@ -357,16 +341,12 @@ class RatioComplex:
         self.n = n
         self.family = family
         self.vertices = vs = catalogue(n, family)
-        index = {v: i for i, v in enumerate(vs)}
-        if family == CR:
-            tops = _frame_tops(n)
-        elif family == SR:
-            tops = _star_tops(n)
-        else:
-            tops = {frozenset(_from_infinity(v, n + 1) for v in t)
-                    for t in _frame_tops(n + 1)}
-        self.maximal_simplices = sorted(tuple(sorted(index[v] for v in t))
-                                        for t in tops)
+        # an sr vertex has 3 indices and a cr vertex 4, so the index tuple
+        # alone names a vertex
+        index = {v.indices: i for i, v in enumerate(vs)}
+        self.maximal_simplices = sorted({
+            tuple(sorted(index[key] for key in top))
+            for top in _top_keys(n, family)})
         divides = _shared_top_divides if family == SR else divides_rule
         for t in self.maximal_simplices:
             _check_pairwise((vs[i] for i in t), divides)
@@ -551,254 +531,3 @@ def orbit_decomposition(n, family, m):
         _, canonical = normal_form(tuple(vs[i] for i in face), n)
         counts[canonical] = counts.get(canonical, 0) + 1
     return sorted(counts.items())
-
-
-# ---------------------------------------------------------------------------
-# holomorphic-function catalogue on the doubly punctured plane
-# ---------------------------------------------------------------------------
-
-
-def enumerate_punctured(m):
-    """Non-constant holomorphic maps of m distinct marks avoiding 0 and 1.
-
-    Marks m+1, m+2, m+3 are pinned to 0, 1 and infinity; every function is
-    a four-mark ratio on the extended set, with the infinity factors
-    cancelling.  Returns the catalogue as DiffProducts over marks 1..m+2,
-    where m+1 stands for the value 0 and m+2 for the value 1.
-    """
-    if m < 1:
-        raise ValueError("need at least one free mark")
-    inf = m + 3
-    out = []
-    for v in catalogue(m + 3, CR):
-        i, j, k, l = v.indices
-        factors = [((l, i), 1), ((j, k), 1), ((l, j), -1), ((i, k), -1)]
-        kept = []
-        sign = 1
-        for (top, bottom), e in factors:
-            if top == inf:
-                continue  # (q - mark) over the escaping mark tends to 1
-            if bottom == inf:
-                # the escaping mark enters negated; its limit leaves a sign
-                sign = -sign if e % 2 else sign
-                continue
-            kept.append(((top, bottom), e))
-        dp = DiffProduct.from_factors(kept)
-        if sign < 0:
-            dp = DiffProduct(-dp.scalar, dp.powers)
-        out.append(dp)
-    if len(set(out)) != len(out):
-        raise AssertionError("catalogue entries are not distinct")
-    return out
-
-
-def punctured_value(h, coords):
-    """Evaluate a catalogue function at free marks q_1..q_m."""
-    from fractions import Fraction
-
-    values = {i: Fraction(c) for i, c in enumerate(coords, start=1)}
-    values[len(coords) + 1] = Fraction(0)
-    values[len(coords) + 2] = Fraction(1)
-    return h.evaluate(values)
-
-
-# ---------------------------------------------------------------------------
-# three-term product identities
-# ---------------------------------------------------------------------------
-
-
-def _expand_product(pairs):
-    from .polyring import MultiPoly
-
-    p = MultiPoly.one()
-    for a, b in pairs:
-        p = p * (MultiPoly.var("z%d" % a) - MultiPoly.var("z%d" % b))
-    return p
-
-
-def _classify_triple(products):
-    degs = sorted(len(p) for p in products)
-    if degs == [1, 1, 1]:
-        edges = [p[0] for p in products]
-        marks = set()
-        for a, b in edges:
-            marks.add(a)
-            marks.add(b)
-        if len(marks) == 3 and len(set(edges)) == 3:
-            return "simple"
-        return "other"
-    if degs == [2, 2, 2]:
-        marks = set()
-        for p in products:
-            for a, b in p:
-                marks.add(a)
-                marks.add(b)
-        if len(marks) != 4:
-            return "other"
-        matchings = set()
-        for p in products:
-            if len(set(p[0]) | set(p[1])) != 4:
-                return "other"
-            matchings.add(tuple(sorted(p)))
-        return "double" if len(matchings) == 3 else "other"
-    return "other"
-
-
-def _three_point_values(products, n):
-    """The value of each product at the marks z_i = i, i^2 and i^3.
-
-    No two of the three points are affine images of one another: a
-    difference product is translation invariant and scales by t^d under
-    z -> t*z, so affinely related points would give proportional values."""
-    points = [[i ** k for i in range(n + 1)] for k in (1, 2, 3)]
-    values = []
-    for p in products:
-        row = []
-        for z in points:
-            v = 1
-            for a, b in p:
-                v *= z[a] - z[b]
-            row.append(v)
-        values.append(tuple(row))
-    return values
-
-
-def _abc_kernel(va, vb, vc):
-    """Scalars (a, b, c), all non-zero, with a*P + b*Q + c*R = 0, or None.
-
-    va, vb, vc map monomial indices to the coefficients of P, Q, R.  The
-    kernel is the cross product of the first two monomial rows, in index
-    order, that are not proportional, and it is checked on every row."""
-    rows = sorted(set(va) | set(vb) | set(vc))
-    triples = [(va.get(r, 0), vb.get(r, 0), vc.get(r, 0)) for r in rows]
-    kernel = None
-    for r1 in range(len(triples)):
-        for r2 in range(r1 + 1, len(triples)):
-            a1, b1, c1 = triples[r1]
-            a2, b2, c2 = triples[r2]
-            cross = (b1 * c2 - c1 * b2, c1 * a2 - a1 * c2,
-                     a1 * b2 - b1 * a2)
-            if any(cross):
-                kernel = cross
-                break
-        if kernel:
-            break
-    if kernel is None or not all(kernel):
-        return None
-    ka, kb, kc = kernel
-    if any(a * ka + b * kb + c * kc for a, b, c in triples):
-        return None
-    return kernel
-
-
-# the candidate triples are counted before any product is listed; at this
-# cap the slowest accepted call, abc --n 21 --bound 1 (1.54 M triples, all
-# pairwise coprime, so each reaches the kernel solve), takes about 0.6 s for
-# one CLI call (median of 5 read 0.50 s, range 0.41-0.55 s; 2 CPUs,
-# Python 3.11.7)
-_ABC_TRIPLE_LIMIT = 2_000_000
-
-
-def verify_abc(n, degree_bound):
-    """Search for coprime three-term vanishing sums of difference products.
-
-    Over the unordered triples of distinct monic difference-products of
-    total degree <= degree_bound that are pairwise coprime and not all
-    constant, solves a*P + b*Q + c*R = 0 exactly with a, b, c all non-zero,
-    and classifies every solution.  Passes when only the one-factor
-    (simple) and two-factor (double) patterns occur.
-
-    Three exact prunes keep most triples from the solve, and none changes
-    which solutions are found or their (lexicographic) order:
-
-    - same degree: the products are homogeneous; if three degrees are not
-      all equal, one of them belongs to a single product, and the part of
-      the relation in that degree is that product times its scalar, so the
-      scalar is zero.  Only triples within one degree are listed (degree 0
-      holds the single empty product, so all-constant triples never are);
-    - coprime: each product carries a bitmask of its base pairs, and a
-      triple whose masks meet is skipped;
-    - three-point rank: a relation holds at every point, so the 3x3 matrix
-      of the three products' values at three fixed integer points has the
-      kernel (a, b, c) and is singular; a triple whose value determinant
-      (a cross product dotted with the third column) is non-zero is
-      rejected.
-
-    A triple is accepted only by the coefficient solve, in exact integers.
-    """
-    if n < 3:
-        raise ValueError("need at least three variables")
-    if degree_bound < 1:
-        raise ValueError("degree bound must be at least 1")
-    # products of at most degree_bound pairs, the empty one included;
-    # counted before any pair is listed
-    total = comb(comb(n, 2) + degree_bound, degree_bound)
-    n_triples = comb(total, 3)
-    if n_triples > _ABC_TRIPLE_LIMIT:
-        raise CapacityError(
-            "%d candidate triples exceed the supported %d (the slowest "
-            "accepted call, abc --n 21 --bound 1 with 1.54 M triples, takes "
-            "about 0.6 s)" % (n_triples, _ABC_TRIPLE_LIMIT))
-    base_pairs = list(itertools.combinations(range(1, n + 1), 2))
-    bit = {pair: 1 << i for i, pair in enumerate(base_pairs)}
-    products = [()]
-    degree_ranges = []
-    for d in range(1, degree_bound + 1):
-        start = len(products)
-        products.extend(
-            itertools.combinations_with_replacement(base_pairs, d))
-        degree_ranges.append(range(start, len(products)))
-    masks = []
-    for p in products:
-        mask = 0
-        for pair in p:
-            mask |= bit[pair]
-        masks.append(mask)
-    xs, ys, zs = zip(*_three_point_values(products, n))
-    expanded = [_expand_product(p) for p in products]
-    monos = sorted({m for p in expanded for m in p.terms})
-    mono_index = {m: i for i, m in enumerate(monos)}
-    vectors = []
-    for p in expanded:
-        vec = {}
-        for mono, coeff in p.terms.items():
-            vec[mono_index[mono]] = coeff
-        vectors.append(vec)
-    solutions = []
-    counts = {"simple": 0, "double": 0, "other": 0}
-    for degree in degree_ranges:
-        hi = degree.stop
-        for ia in degree:
-            ma, xa, ya, za = masks[ia], xs[ia], ys[ia], zs[ia]
-            for ib in range(ia + 1, hi):
-                if masks[ib] & ma:
-                    continue
-                mab = ma | masks[ib]
-                xb, yb, zb = xs[ib], ys[ib], zs[ib]
-                # the cross product of the two value vectors
-                cx = ya * zb - za * yb
-                cy = za * xb - xa * zb
-                cz = xa * yb - ya * xb
-                for ic in [ic for ic in range(ib + 1, hi)
-                           if not masks[ic] & mab
-                           and not cx * xs[ic] + cy * ys[ic] + cz * zs[ic]]:
-                    kernel = _abc_kernel(vectors[ia], vectors[ib],
-                                         vectors[ic])
-                    if kernel is None:
-                        continue
-                    pa, pb, pc = products[ia], products[ib], products[ic]
-                    pattern = _classify_triple([pa, pb, pc])
-                    counts[pattern] += 1
-                    solutions.append({
-                        "pattern": pattern,
-                        "products": [list(map(list, p))
-                                     for p in (pa, pb, pc)],
-                        "scalars": list(kernel),
-                    })
-    return {
-        "n": n,
-        "bound": degree_bound,
-        "counts": counts,
-        "solutions": solutions,
-        "pass": counts["other"] == 0 and counts["simple"] > 0,
-    }

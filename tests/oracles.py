@@ -12,7 +12,10 @@ conjugators by depth-first search, braid canonical forms by repeated
 sweeps over the whole factor list, ratio complexes by a pairwise
 divisibility scan, the action of the fractional-linear involution by
 floating-point root matching, three-term product identities by solving
-every candidate triple, integer resultants and discriminants by a
+every candidate triple and by the rank prune tested triple by triple, the
+maximal simplices of the ratio complexes as sets of vertex objects, the
+function catalogue on the doubly punctured plane (which no verb runs), a
+polynomial read back from its JSON terms, integer resultants and discriminants by a
 subresultant remainder sequence, discriminants also by the Sylvester
 determinant of the form and its derivative, the degree-9 form
 discriminant by expanding the form and running that sequence, the
@@ -61,6 +64,13 @@ from confspace.morphisms import (
     ferrari_symbolic,
     hesse_cubic_discriminant,
 )
+from confspace.identities import (
+    _abc_kernel,
+    _abc_listing,
+    _abc_report,
+    _classify_triple,
+    _expand_product,
+)
 from confspace.polyring import (
     MultiPoly,
     bareiss_det,
@@ -69,18 +79,20 @@ from confspace.polyring import (
     sylvester_matrix,
 )
 from confspace.ratios import (
+    CR,
+    DiffProduct,
     RatioVertex,
-    _classify_triple,
     _complete_permutation,
     _cr_slot4_frame,
-    _expand_product,
     act,
     build_complex,
+    catalogue,
     cr_vertex,
     delta_c,
     delta_s,
     divides_oracle,
     make_simplex,
+    sr_vertex,
 )
 
 
@@ -981,7 +993,7 @@ def feler_nine_sampled_expanded(trials=20, rng=None):
 
 
 def verify_abc_brute(n, degree_bound):
-    """``ratios.verify_abc`` without its prunes: every triple of products
+    """``identities.verify_abc`` without its prunes: every triple of products
     of degree <= degree_bound, mixed degrees included, goes through the
     coprimality test by set intersection and the coefficient solve."""
     base_pairs = list(combinations(range(1, n + 1), 2))
@@ -1044,3 +1056,135 @@ def verify_abc_brute(n, degree_bound):
         "solutions": solutions,
         "pass": counts["other"] == 0 and counts["simple"] > 0,
     }
+
+
+def verify_abc_triple_scan(n, degree_bound):
+    """``identities.verify_abc`` with its rank prune tested triple by
+    triple: the cross product of the first two value vectors, dotted with
+    every later third one (the search before its plane buckets)."""
+    products, degree_ranges, masks, values, vectors = _abc_listing(
+        n, degree_bound)
+    xs, ys, zs = zip(*values)
+    found = []
+    for degree in degree_ranges:
+        hi = degree.stop
+        for ia in degree:
+            ma, xa, ya, za = masks[ia], xs[ia], ys[ia], zs[ia]
+            for ib in range(ia + 1, hi):
+                if masks[ib] & ma:
+                    continue
+                mab = ma | masks[ib]
+                xb, yb, zb = xs[ib], ys[ib], zs[ib]
+                cx = ya * zb - za * yb
+                cy = za * xb - xa * zb
+                cz = xa * yb - ya * xb
+                for ic in range(ib + 1, hi):
+                    if (masks[ic] & mab
+                            or cx * xs[ic] + cy * ys[ic] + cz * zs[ic]):
+                        continue
+                    kernel = _abc_kernel(vectors[ia], vectors[ib],
+                                         vectors[ic])
+                    if kernel is not None:
+                        found.append(((products[ia], products[ib],
+                                       products[ic]), kernel))
+    return _abc_report(n, degree_bound, found)
+
+
+def enumerate_punctured(m):
+    """Non-constant holomorphic maps of m distinct marks avoiding 0 and 1.
+
+    Marks m+1, m+2, m+3 are pinned to 0, 1 and infinity; every function is
+    a four-mark ratio on the extended set, with the infinity factors
+    cancelling.  Returns the catalogue as DiffProducts over marks 1..m+2,
+    where m+1 stands for the value 0 and m+2 for the value 1.
+    """
+    if m < 1:
+        raise ValueError("need at least one free mark")
+    inf = m + 3
+    out = []
+    for v in catalogue(m + 3, CR):
+        i, j, k, l = v.indices
+        factors = [((l, i), 1), ((j, k), 1), ((l, j), -1), ((i, k), -1)]
+        kept = []
+        sign = 1
+        for (top, bottom), e in factors:
+            if top == inf:
+                continue  # (q - mark) over the escaping mark tends to 1
+            if bottom == inf:
+                # the escaping mark enters negated; its limit leaves a sign
+                sign = -sign if e % 2 else sign
+                continue
+            kept.append(((top, bottom), e))
+        dp = DiffProduct.from_factors(kept)
+        if sign < 0:
+            dp = DiffProduct(-dp.scalar, dp.powers)
+        out.append(dp)
+    if len(set(out)) != len(out):
+        raise AssertionError("catalogue entries are not distinct")
+    return out
+
+
+def diff_product_value(dp, values):
+    """Exact value of a DiffProduct at a point; indices map to Fractions."""
+    acc = Fraction(dp.scalar)
+    for (a, b), e in dp.powers:
+        d = Fraction(values[a]) - Fraction(values[b])
+        if d == 0:
+            raise ZeroDivisionError("marks %d and %d collide" % (a, b))
+        acc *= d ** e
+    return acc
+
+
+def punctured_value(h, coords):
+    """Evaluate a catalogue function at free marks q_1..q_m."""
+    values = {i: Fraction(c) for i, c in enumerate(coords, start=1)}
+    values[len(coords) + 1] = Fraction(0)
+    values[len(coords) + 2] = Fraction(1)
+    return diff_product_value(h, values)
+
+
+def frame_tops(n):
+    """Maximal simplices of cr(n) as vertex sets: {cr(f1, f2, f3, x)} per
+    ordered frame f."""
+    marks = range(1, n + 1)
+    return {frozenset(cr_vertex(*f, x) for x in marks if x not in f)
+            for f in permutations(marks, 3)}
+
+
+def star_tops(n):
+    """Maximal simplices of sr(n) as vertex sets: the stars sr(a, ., k)
+    and sr(., a, k)."""
+    marks = range(1, n + 1)
+    tops = set()
+    for a, k in permutations(marks, 2):
+        rest = [x for x in marks if x not in (a, k)]
+        tops.add(frozenset(sr_vertex(a, x, k) for x in rest))
+        tops.add(frozenset(sr_vertex(x, a, k) for x in rest))
+    return tops
+
+
+def from_infinity(v, inf):
+    """v with q_inf sent to infinity: cr(i, j, inf, k) becomes sr(i, j, k)."""
+    if inf not in v.indices:
+        return v
+    j, i, k = _cr_slot4_frame(v.indices, inf)
+    return sr_vertex(i, j, k)
+
+
+def vertex_set_tops(n, family):
+    """The maximal simplices of a complex, built vertex by vertex."""
+    if family == "cr":
+        return frame_tops(n)
+    if family == "sr":
+        return star_tops(n)
+    return {frozenset(from_infinity(v, n + 1) for v in t)
+            for t in frame_tops(n + 1)}
+
+
+def poly_from_json_terms(data):
+    """The MultiPoly of ``MultiPoly.to_json_terms`` output."""
+    terms = {}
+    for coeff, expmap in data:
+        mono = tuple(sorted((str(v), e) for v, e in expmap.items()))
+        terms[mono] = terms.get(mono, 0) + int(coeff)
+    return MultiPoly(terms)

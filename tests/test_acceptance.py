@@ -6,7 +6,7 @@ import random
 import time
 from math import gcd
 
-from confspace import braid, morphisms, ratios
+from confspace import braid, identities, morphisms, ratios
 from confspace.polyring import MultiPoly, discriminant_monic
 from confspace.braid import (
     SPHERE,
@@ -113,7 +113,7 @@ def test_criterion_05_divides_rule_equals_oracle():
 
 def test_criterion_06_abc_search():
     t0 = time.time()
-    rep = ratios.verify_abc(4, 2)
+    rep = identities.verify_abc(4, 2)
     dt = time.time() - t0
     ok = (
         rep["pass"]

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from confspace import braid, morphisms, polyring, ratios
+from confspace import braid, identities, morphisms, polyring, ratios
 from confspace.cli import run
 import oracles
 from oracles import (
@@ -434,7 +434,7 @@ def test_abc_capacity_refuses_before_listing(capsys, monkeypatch):
     def no_listing(pairs, d):
         raise Listed
 
-    monkeypatch.setattr(ratios.itertools, "combinations_with_replacement",
+    monkeypatch.setattr(identities.itertools, "combinations_with_replacement",
                         no_listing)
     # 2054360 triples; 1344904 and 2.9e10 products, far more triples
     for n, bound in ((22, 1), (8, 6), (10, 10)):
@@ -455,7 +455,7 @@ def test_abc_capacity_refuses_before_pairing(capsys, monkeypatch):
     def no_pairs(marks, r):
         raise AssertionError("base pairs listed before the capacity check")
 
-    monkeypatch.setattr(ratios.itertools, "combinations", no_pairs)
+    monkeypatch.setattr(identities.itertools, "combinations", no_pairs)
     assert run(["abc", "--n", "100000", "--bound", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import confspace
-from confspace import braid, morphisms, ratios
+from confspace import braid, identities, morphisms
 from confspace.cli import build_parser
 
 SRC = Path(confspace.__file__).resolve().parent.parent
@@ -70,8 +70,8 @@ BRAID = ["braid"]
                  ["homology", "ratios"], id="complex"),
     pytest.param(["complex", "--n", "5", "--family", "cr", "--orbits", "1"],
                  ["ratios"], id="complex-without-homology"),
-    pytest.param(["abc", "--n", "4", "--bound", "1"], ["polyring", "ratios"],
-                 id="abc"),
+    pytest.param(["abc", "--n", "4", "--bound", "1"],
+                 ["identities", "polyring"], id="abc"),
 ])
 def test_each_verb_loads_only_its_layers(argv, layers):
     seen = _probe(argv)
@@ -98,5 +98,5 @@ def test_gallery_names_match_the_checks():
 
 
 def test_one_capacity_error():
-    assert ratios.CapacityError is braid.CapacityError
+    assert identities.CapacityError is braid.CapacityError
     assert braid.CapacityError is confspace.CapacityError

@@ -24,6 +24,7 @@ from oracles import (
     discriminant_sylvester,
     eval_terms,
     exact_divide_sorting,
+    poly_from_json_terms,
     poly_gcd_degree,
     resultant_int,
 )
@@ -376,9 +377,9 @@ def test_exponents_must_be_non_negative_integers():
         with pytest.raises(ValueError):
             MultiPoly.var("x", bad)
         with pytest.raises(ValueError):
-            MultiPoly.from_json_terms([["3", {"x": bad}]])
+            poly_from_json_terms([["3", {"x": bad}]])
     assert MultiPoly({(("x", 0), ("y", 2)): 3}) == 3 * Y ** 2
-    assert MultiPoly.from_json_terms([["3", {"x": 0}]]) == 3
+    assert poly_from_json_terms([["3", {"x": 0}]]) == 3
 
 
 def _sympy_poly(expr, names):
@@ -520,7 +521,7 @@ def test_json_round_trip():
     for _ in range(20):
         p = rand_poly(rng)
         data = p.to_json_terms()
-        assert MultiPoly.from_json_terms(data) == p
+        assert poly_from_json_terms(data) == p
         # canonical order: graded first
         degs = [sum(e.values()) for _, e in data]
         assert degs == sorted(degs, reverse=True)

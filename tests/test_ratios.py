@@ -4,19 +4,22 @@ import json
 import pickle
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import networkx
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from confspace import homology, ratios
+from confspace import CapacityError, homology, identities, ratios
+from confspace.identities import (
+    _expand_product,
+    _plane_key,
+    _three_point_values,
+    verify_abc,
+)
 from confspace.ratios import (
-    CapacityError,
     DiffProduct,
     RatioVertex,
-    _expand_product,
-    _three_point_values,
     act,
     as_diff_product,
     build_complex,
@@ -27,7 +30,6 @@ from confspace.ratios import (
     delta_s,
     divides_oracle,
     divides_rule,
-    enumerate_punctured,
     euler_characteristic,
     homology_report,
     involution,
@@ -35,17 +37,19 @@ from confspace.ratios import (
     make_simplex,
     normal_form,
     orbit_decomposition,
-    punctured_value,
     sr_vertex,
-    verify_abc,
 )
 from oracles import (
     brute_orbit_key,
     cofactor_det,
     divisibility_graph,
+    enumerate_punctured,
     eval_terms,
     orbit_decomposition_by_simplices,
+    punctured_value,
     verify_abc_brute,
+    verify_abc_triple_scan,
+    vertex_set_tops,
 )
 
 
@@ -382,27 +386,42 @@ def test_complex_build_checks_pairs_without_oracle(monkeypatch):
                 tuple(t) for t in c.to_json()["maximal_simplices"]]
 
 
+def _with_extra_top(monkeypatch, *extra):
+    """Make the top source of RatioComplex also yield ``extra``."""
+    top_keys = ratios._top_keys
+    monkeypatch.setattr(
+        ratios, "_top_keys",
+        lambda n, family: [*top_keys(n, family),
+                           tuple(v.indices for v in extra)])
+
+
 def test_complex_build_refuses_a_non_dividing_top(monkeypatch):
-    frame_tops = ratios._frame_tops
     a, b = cr_vertex(1, 2, 3, 4), cr_vertex(1, 3, 2, 4)
     assert not divides_rule(a, b)
-    monkeypatch.setattr(ratios, "_frame_tops",
-                        lambda n: frame_tops(n) | {frozenset((a, b))})
+    _with_extra_top(monkeypatch, a, b)
     with pytest.raises(ValueError) as err:
         ratios.RatioComplex(5, "cr")
     assert repr(a) in str(err.value) and repr(b) in str(err.value)
 
 
 def test_star_complex_build_refuses_a_cross_ratio_pair(monkeypatch):
-    star_tops = ratios._star_tops
     a, b = sr_vertex(1, 2, 3), sr_vertex(1, 2, 4)
     # a catalogue edge (their quotient is a cross ratio), not a pure one
     assert divides_rule(a, b)
-    monkeypatch.setattr(ratios, "_star_tops",
-                        lambda n: star_tops(n) | {frozenset((a, b))})
+    _with_extra_top(monkeypatch, a, b)
     with pytest.raises(ValueError) as err:
         ratios.RatioComplex(5, "sr")
     assert repr(a) in str(err.value) and repr(b) in str(err.value)
+
+
+@pytest.mark.parametrize("family", ["cr", "sr", "l"])
+def test_index_coded_tops_equal_the_vertex_sets(family):
+    for n in range(4 if family == "cr" else 3, 10):
+        c = ratios.RatioComplex(n, family)
+        index = {v: i for i, v in enumerate(c.vertices)}
+        assert c.maximal_simplices == sorted(
+            tuple(sorted(index[v] for v in top))
+            for top in vertex_set_tops(n, family))
 
 
 def test_homology_values():
@@ -749,6 +768,63 @@ _ABC_SMALL = [(n, bound) for bound in range(1, 6) for n in range(3, 15)
 def test_abc_matches_brute_search(n, bound):
     assert json.dumps(verify_abc(n, bound)) == \
         json.dumps(verify_abc_brute(n, bound))
+
+
+def _abc_accepted():
+    """Every (n, bound) within the cap; the triple count grows with both."""
+    out = []
+    bound = 1
+    while _abc_triples(3, bound) <= identities._ABC_TRIPLE_LIMIT:
+        n = 3
+        while _abc_triples(n, bound) <= identities._ABC_TRIPLE_LIMIT:
+            out.append((n, bound))
+            n += 1
+        bound += 1
+    return out
+
+
+_ABC_ACCEPTED = _abc_accepted()
+
+
+def test_abc_accepted_grid_reaches_the_slowest_call():
+    assert (21, 1) in _ABC_ACCEPTED and (4, 4) in _ABC_ACCEPTED
+
+
+@pytest.mark.parametrize("n,bound", _ABC_ACCEPTED)
+def test_abc_plane_buckets_match_the_triple_scan(n, bound):
+    assert json.dumps(verify_abc(n, bound)) == \
+        json.dumps(verify_abc_triple_scan(n, bound))
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+_entry = st.integers(-4, 4)
+_vector = st.tuples(_entry, _entry, _entry)
+
+
+@settings(deadline=None, max_examples=400)
+@given(_vector, _vector, _vector, _entry, _entry,
+       st.sampled_from(["free", "span", "multiple of u", "negated v"]))
+def test_plane_key_names_the_span(u, v, r, a, b, kind):
+    w = {"free": r,
+         "span": tuple(a * x + b * y for x, y in zip(u, v)),
+         "multiple of u": tuple(a * x for x in u),
+         "negated v": tuple(-y for y in v)}[kind]
+    for x, y in ((u, v), (u, w)):
+        key = _plane_key(x, y)
+        if _cross(x, y) == (0, 0, 0):
+            assert key is None
+            continue
+        # the primitive normal, first non-zero entry positive
+        assert _cross(key, _cross(x, y)) == (0, 0, 0)
+        assert gcd(*key) == 1 and next(k for k in key if k) > 0
+        assert key == _plane_key(y, x)
+    if _cross(u, v) != (0, 0, 0) and _cross(u, w) != (0, 0, 0):
+        in_span = cofactor_det([list(u), list(v), list(w)]) == 0
+        assert (_plane_key(u, v) == _plane_key(u, w)) == in_span
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
