@@ -35,8 +35,8 @@ def _emit(payload, status=0):
 
 # the complexes on n marks have about n^3 2^(n-3) simplices, and --orbits
 # normalises every one of a dimension; at this cap the slowest accepted call,
-# cr n = 9 --homology --orbits 3, takes about 0.6 s for one CLI call (median
-# of 5, 0.55-0.8 s; 2 CPUs, Python 3.11.7)
+# cr n = 9 --homology --orbits 2, takes about 0.27 s for one CLI call (median
+# of 5, 0.26-0.30 s; 2 CPUs, Python 3.11.7)
 _COMPLEX_MARK_LIMIT = 9
 
 
@@ -48,8 +48,8 @@ def _cmd_complex(args):
     if marks > _COMPLEX_MARK_LIMIT:
         raise CapacityError(
             "ratio complexes capped at %d marks (n, or n + 1 for family l; "
-            "the slowest accepted call, cr n = 9 --homology --orbits 3, takes "
-            "about 0.6 s), got %d" % (_COMPLEX_MARK_LIMIT, marks))
+            "the slowest accepted call, cr n = 9 --homology --orbits 2, takes "
+            "about 0.27 s), got %d" % (_COMPLEX_MARK_LIMIT, marks))
     c = ratios.build_complex(args.n, args.family)
     payload = c.to_json()
     payload["dim"] = ratios.complex_dimension(c)

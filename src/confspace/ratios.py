@@ -320,11 +320,13 @@ class RatioComplex:
     ``family`` selects the vertex set ("sr", "cr" or "l").  Pure-family
     complexes use family-internal divisibility; the full complex "l" uses
     the catalogue relation.  Each is the flag complex of its relation, and
-    every simplex of dimension >= 1 lies in exactly one maximal simplex.
-    The maximal simplices are listed directly: frames for "cr", stars on a
-    common (top, numerator) or (top, denominator) for "sr", and for "l" the
-    frames of cr(n+1) with mark n+1 sent to infinity, each vertex as its
-    index tuple (``_top_keys``), with no vertex object made per frame slot.
+    every simplex of dimension >= 1 lies in exactly one maximal simplex, so
+    two maximal simplices share at most one vertex (what ``betti_numbers``
+    relies on).  The maximal simplices are listed directly: frames for
+    "cr", stars on a common (top, numerator) or (top, denominator) for
+    "sr", and for "l" the frames of cr(n+1) with mark n+1 sent to infinity,
+    each vertex as its index tuple (``_top_keys``), with no vertex object
+    made per frame slot.
     ``maximal_simplices`` holds them as sorted tuples of indices into
     ``vertices``; every vertex pair in them is checked when the complex is
     built, with divides_rule and, for "sr", a shared top mark.
@@ -332,7 +334,6 @@ class RatioComplex:
     """
 
     def __init__(self, n, family):
-        family = family.lower()
         if family not in FAMILIES:
             raise ValueError("family must be one of %r" % (FAMILIES,))
         minimum = 4 if family == CR else 3
@@ -379,13 +380,9 @@ class RatioComplex:
 
 
 @lru_cache(maxsize=32)
-def _cached_complex(n, family):
-    return RatioComplex(n, family)
-
-
 def build_complex(n, family):
     """Complexes are immutable once built, so instances are shared."""
-    return _cached_complex(n, family.lower())
+    return RatioComplex(n, family)
 
 
 def complex_dimension(c):
@@ -400,10 +397,17 @@ def euler_characteristic(c):
 
 
 def betti_numbers(c):
-    """Integral homology: per dimension, (betti rank, torsion summands)."""
+    """Integral homology: per dimension, (betti rank, torsion summands).
+
+    Read off the vertex-top incidence graph by ``confspace.homology``: no
+    two maximal simplices of a ratio complex share two vertices, so b0
+    counts components, b1 = incidences - vertices - tops + b0, nothing lies
+    above degree 1 and there is no torsion.  A complex breaking that would
+    be refused with ValueError.
+    """
     from . import homology
 
-    return homology.homology_ranks(c.all_simplices_by_dim())
+    return homology.incidence_homology(len(c.vertices), c.maximal_simplices)
 
 
 def homology_report(c):

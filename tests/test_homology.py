@@ -5,14 +5,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from confspace.homology import (
+from confspace.homology import incidence_homology
+from confspace.ratios import build_complex, euler_characteristic
+from oracles import (
     boundary_matrix,
     homology_ranks,
     invariant_factors,
+    rank_mod_p,
     smith_diagonal,
 )
-from confspace.ratios import build_complex, euler_characteristic
-from oracles import rank_mod_p
 
 
 def closure_of_facets(facets):
@@ -171,3 +172,61 @@ def test_projective_plane_betti_mod_p():
     for betti in ([b for b, _ in integral], betti_mod_p(by_dim, 2),
                   betti_mod_p(by_dim, 3)):
         assert alternating_sum(betti) == chi == 1
+
+
+# every complex a verb builds: at most 9 marks, n + 1 for family l
+INSIDE_THE_CAP = [
+    *(("cr", n) for n in range(4, 10)),
+    *(("sr", n) for n in range(3, 10)),
+    *(("l", n) for n in range(3, 9)),
+]
+
+
+@pytest.mark.parametrize("family, n", INSIDE_THE_CAP)
+def test_incidence_homology_equals_smith_route(family, n):
+    c = build_complex(n, family)
+    facets = [tuple(sorted(t)) for t in c.maximal_simplices]
+    expected = homology_ranks(closure_of_facets(facets))
+    assert all(not t for _, t in expected)
+    assert incidence_homology(len(c.vertices), c.maximal_simplices) == expected
+
+
+@st.composite
+def tops_meeting_in_at_most_one_vertex(draw):
+    """(vertex count, tops): up to 12 vertices, tops of 1-5 vertices, a
+    drawn top kept only if it shares at most one vertex with every kept
+    one."""
+    count = draw(st.integers(1, 12))
+    drawn = draw(st.lists(
+        st.sets(st.integers(0, count - 1), min_size=1, max_size=5),
+        min_size=1, max_size=12))
+    tops = []
+    for top in drawn:
+        if all(len(top & set(kept)) <= 1 for kept in tops):
+            tops.append(tuple(sorted(top)))
+    return count, tops
+
+
+@given(tops_meeting_in_at_most_one_vertex())
+@example((3, [(0, 1), (1, 2), (0, 2)]))            # a circle
+@example((5, [(0, 1, 2), (2, 3, 4), (0, 4)]))      # two triangles, one cycle
+@example((4, [(0,), (1, 2)]))                      # isolated vertex 3
+def test_incidence_homology_on_random_complexes(case):
+    count, tops = case
+    covered = {v for t in tops for v in t}
+    # a vertex in no top is a point of the complex
+    points = [(v,) for v in range(count) if v not in covered]
+    assert incidence_homology(count, tops) == homology_ranks(
+        closure_of_facets(tops + points))
+
+
+@pytest.mark.parametrize("tops, first, second, pair", [
+    (PROJECTIVE_PLANE, (1, 2, 3), (1, 2, 4), (1, 2)),
+    ([(0, 1, 2), (1, 2, 3)], (0, 1, 2), (1, 2, 3), (1, 2)),
+], ids=["projective-plane", "triangles-on-an-edge"])
+def test_tops_sharing_two_vertices_are_refused(tops, first, second, pair):
+    with pytest.raises(ValueError) as err:
+        incidence_homology(7, tops)
+    assert str(err.value).startswith(
+        "maximal simplices %r and %r share the vertices %r"
+        % (first, second, pair))

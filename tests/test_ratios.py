@@ -10,7 +10,7 @@ import networkx
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from confspace import CapacityError, homology, identities, ratios
+from confspace import CapacityError, identities, ratios
 from confspace.identities import (
     _expand_product,
     _plane_key,
@@ -40,11 +40,13 @@ from confspace.ratios import (
     sr_vertex,
 )
 from oracles import (
+    boundary_matrix,
     brute_orbit_key,
     cofactor_det,
     divisibility_graph,
     enumerate_punctured,
     eval_terms,
+    homology_ranks,
     orbit_decomposition_by_simplices,
     punctured_value,
     verify_abc_brute,
@@ -245,6 +247,14 @@ def test_complex_minimum_size():
         build_complex(3, "cr")
     with pytest.raises(ValueError):
         build_complex(2, "sr")
+
+
+def test_family_names_are_lower_case_at_every_entry_point():
+    for entry in (ratios.RatioComplex, build_complex):
+        with pytest.raises(ValueError, match="family must be one of"):
+            entry(5, "CR")
+    with pytest.raises(ValueError, match="pure families"):
+        orbit_decomposition(5, "CR", 1)
 
 
 def test_dimensions():
@@ -448,8 +458,8 @@ def test_boundary_of_boundary_vanishes():
     by_dim = c.all_simplices_by_dim()
     assert len(by_dim) == 3
     for k in range(2, len(by_dim)):
-        d1 = homology.boundary_matrix(by_dim[k - 2], by_dim[k - 1])
-        d2 = homology.boundary_matrix(by_dim[k - 1], by_dim[k])
+        d1 = boundary_matrix(by_dim[k - 2], by_dim[k - 1])
+        d2 = boundary_matrix(by_dim[k - 1], by_dim[k])
         for col in d2:
             image = {}
             for i, v in col.items():
@@ -468,8 +478,8 @@ def test_homology_independent_of_vertex_order():
         sorted(tuple(sorted(relabel[i] for i in s)) for s in level)
         for level in by_dim
     ]
-    a = homology.homology_ranks(by_dim)
-    b = homology.homology_ranks(moved)
+    a = homology_ranks(by_dim)
+    b = homology_ranks(moved)
     assert [x[0] for x in a] == [x[0] for x in b]
     assert [x[1] for x in a] == [x[1] for x in b]
 

@@ -3,13 +3,20 @@ subclass, found by scanning the layers, is frozen, compares and hashes by
 its fields, copies and pickles to an equal value, and keeps its repr."""
 
 import copy
+import importlib
 import pickle
+from pathlib import Path
 
 import pytest
 
-from confspace import _Value, braid, morphisms, polyring, ratios
+import confspace
+from confspace import _Value, braid, ratios
 
-LAYERS = (braid, morphisms, polyring, ratios)
+# every module of the package but its entry points
+LAYERS = tuple(
+    importlib.import_module("confspace." + path.stem)
+    for path in sorted(Path(confspace.__file__).resolve().parent.glob("*.py"))
+    if path.stem not in ("__init__", "__main__", "cli"))
 
 
 def _layer_classes():
