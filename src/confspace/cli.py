@@ -35,8 +35,10 @@ def _emit(payload, status=0):
 
 # the complexes on n marks have about n^3 2^(n-3) simplices, and --orbits
 # normalises every one of a dimension; at this cap the slowest accepted call,
-# cr n = 9 --homology --orbits 2, takes about 0.27 s for one CLI call (median
-# of 5, 0.26-0.30 s; 2 CPUs, Python 3.11.7)
+# cr n = 9 --homology --orbits 2 (the most faces: 10080 at m = 2 against
+# 7560 at m = 3), takes about 0.25 s for one CLI call (medians of 5 to 11
+# fresh calls in five runs over every 9-mark call, 0.22-0.26 s; --orbits 3
+# 0.21-0.25 s; 2 CPUs, Python 3.11.7)
 _COMPLEX_MARK_LIMIT = 9
 
 
@@ -49,7 +51,7 @@ def _cmd_complex(args):
         raise CapacityError(
             "ratio complexes capped at %d marks (n, or n + 1 for family l; "
             "the slowest accepted call, cr n = 9 --homology --orbits 2, takes "
-            "about 0.27 s), got %d" % (_COMPLEX_MARK_LIMIT, marks))
+            "about 0.25 s), got %d" % (_COMPLEX_MARK_LIMIT, marks))
     c = ratios.build_complex(args.n, args.family)
     payload = c.to_json()
     payload["dim"] = ratios.complex_dimension(c)
@@ -61,7 +63,7 @@ def _cmd_complex(args):
             args.n, args.family, args.orbits)
         payload["orbits"] = [
             {
-                "representative": [[v.kind, *v.indices] for v in rep],
+                "representative": ratios.json_vertices(rep),
                 "size": size,
             }
             for rep, size in decomposition

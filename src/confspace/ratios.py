@@ -2,7 +2,10 @@
 
 Vertices are the rational functions (q_k-q_i)/(q_k-q_j) on three marks and
 (q_l-q_i)(q_j-q_k)/((q_l-q_j)(q_i-q_k)) on four marks; a vertex divides
-another when their quotient is again such a function.  Pairwise divisors
+another when their quotient is again such a function.  A vertex is its
+index tuple: the simple ratio (i, j, k), or the cross ratio as its
+Klein-canonical (i, j, k, l), so its arity gives its kind.  Vertices are
+ordered cross ratios first, then by tuple.  Pairwise divisors
 span simplices, each the sorted tuple of its vertices; the complexes here
 are the flag complexes of that relation, together with the symmetric-group
 action and orbit normal forms.  The three-term identities among these
@@ -21,8 +24,6 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from . import _Value
-
 SR = "sr"
 CR = "cr"
 FAMILIES = (SR, CR, "l")
@@ -34,164 +35,76 @@ def klein_canonical(indices):
     return min([(i, j, k, l), (j, i, l, k), (k, l, i, j), (l, k, j, i)])
 
 
-class RatioVertex(_Value):
-    """A simple (``kind`` "sr", three marks) or cross (``kind`` "cr", four
-    Klein-canonical marks) ratio; vertices compare as (kind, indices)."""
-
-    __slots__ = ("kind", "indices")
-
-    def __init__(self, kind, indices):
-        if kind not in (SR, CR):
-            raise ValueError("kind must be 'sr' or 'cr'")
-        want = 3 if kind == SR else 4
-        if len(indices) != want:
-            raise ValueError("%s vertex needs %d indices" % (kind, want))
-        if len(set(indices)) != want:
-            raise ValueError("indices must be pairwise distinct")
-        if any(i < 1 for i in indices):
-            raise ValueError("indices must be positive")
-        if kind == CR and klein_canonical(indices) != indices:
-            raise ValueError("cross-ratio indices must be Klein-canonical")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "indices", indices)
-
-    def __lt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.indices) < (other.kind, other.indices)
-
-    def __le__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.indices) <= (other.kind, other.indices)
-
-    def __gt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.indices) > (other.kind, other.indices)
-
-    def __ge__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.indices) >= (other.kind, other.indices)
-
-    @property
-    def support(self):
-        return frozenset(self.indices)
-
-
 def sr_vertex(i, j, k):
-    return RatioVertex(SR, (i, j, k))
+    """The simple ratio (q_k-q_i)/(q_k-q_j)."""
+    return (i, j, k)
 
 
 def cr_vertex(i, j, k, l):
-    return RatioVertex(CR, klein_canonical((i, j, k, l)))
+    """The cross ratio on marks i, j, k, l, as its Klein-canonical tuple."""
+    return klein_canonical((i, j, k, l))
 
 
-class DiffProduct(_Value):
-    """A signed product of powers of mark differences.
+def _order(v):
+    """The vertex order: cross ratios first, then by index tuple."""
+    return len(v) == 3, v
 
-    Represents scalar * prod (q_a - q_b)^e over ordered pairs a < b; the
-    reorientation q_b - q_a = -(q_a - q_b) is folded into the scalar.
-    ``powers`` is the sorted tuple of ((a, b), e) with a < b and e != 0.
-    """
 
-    __slots__ = ("scalar", "powers")
+def json_vertices(vertices):
+    """Each vertex as its JSON pair [kind, *marks]."""
+    return [[SR if len(v) == 3 else CR, *v] for v in vertices]
 
-    def __init__(self, scalar, powers):
-        if scalar not in (1, -1):
-            raise ValueError("scalar must be +1 or -1")
-        object.__setattr__(self, "scalar", scalar)
-        object.__setattr__(self, "powers", powers)
 
-    @classmethod
-    def from_factors(cls, factors):
-        """Build from oriented factors ((top, bottom), exponent)."""
-        sign = 1
-        powers = {}
-        for (a, b), e in factors:
-            if a == b:
-                raise ValueError("degenerate difference")
-            if a > b:
-                a, b = b, a
-                if e % 2:
-                    sign = -sign
-            powers[(a, b)] = powers.get((a, b), 0) + e
-        cleaned = tuple(sorted((p, e) for p, e in powers.items() if e != 0))
-        return cls(sign, cleaned)
+def _factors(v):
+    """The oriented factors (a, b, e), one per (q_a - q_b)^e, whose
+    product is the vertex."""
+    if len(v) == 3:
+        i, j, k = v
+        return [(k, i, 1), (k, j, -1)]
+    i, j, k, l = v
+    return [(l, i, 1), (j, k, 1), (l, j, -1), (i, k, -1)]
 
-    def __mul__(self, other):
-        merged = {}
-        for p, e in self.powers:
-            merged[p] = merged.get(p, 0) + e
-        for p, e in other.powers:
-            merged[p] = merged.get(p, 0) + e
-        cleaned = tuple(sorted((p, e) for p, e in merged.items() if e != 0))
-        return DiffProduct(self.scalar * other.scalar, cleaned)
 
-    def inverse(self):
-        return DiffProduct(self.scalar,
-                           tuple((p, -e) for p, e in self.powers))
-
-    def divide(self, other):
-        return self * other.inverse()
+def _signed_pair(factors):
+    """A product of oriented factors as (sign, powers): q_b - q_a with
+    a < b is read as -(q_a - q_b), and ``powers`` is the sorted tuple of
+    ((a, b), e) with a < b and e != 0."""
+    sign, powers = 1, {}
+    for a, b, e in factors:
+        if a > b:
+            a, b = b, a
+            if e % 2:
+                sign = -sign
+        powers[a, b] = powers.get((a, b), 0) + e
+    return sign, tuple(sorted(item for item in powers.items() if item[1]))
 
 
 def as_diff_product(v):
-    """Exact signed exponent-vector form of a vertex; injective."""
-    if v.kind == SR:
-        i, j, k = v.indices
-        factors = [((k, i), 1), ((k, j), -1)]
-    else:
-        i, j, k, l = v.indices
-        factors = [((l, i), 1), ((j, k), 1), ((l, j), -1), ((i, k), -1)]
-    return DiffProduct.from_factors(factors)
-
-
-def _vertex_from_diff_product(dp):
-    """The catalogue vertex equal to dp, or None."""
-    powers = dict(dp.powers)
-    if len(powers) == 2:
-        plus = [p for p, e in powers.items() if e == 1]
-        minus = [p for p, e in powers.items() if e == -1]
-        if len(plus) != 1 or len(minus) != 1:
-            return None
-        common = set(plus[0]) & set(minus[0])
-        if len(common) != 1:
-            return None
-        k = common.pop()
-        i = next(x for x in plus[0] if x != k)
-        j = next(x for x in minus[0] if x != k)
-        cand = sr_vertex(i, j, k)
-        return cand if as_diff_product(cand) == dp else None
-    if len(powers) == 4:
-        plus = [p for p, e in powers.items() if e == 1]
-        minus = [p for p, e in powers.items() if e == -1]
-        if len(plus) != 2 or len(minus) != 2:
-            return None
-        for pair in plus:
-            for i, l in (pair, pair[::-1]):
-                mk = [p for p in minus if i in p]
-                ml = [p for p in minus if l in p]
-                if len(mk) != 1 or len(ml) != 1:
-                    continue
-                k = next(x for x in mk[0] if x != i)
-                j = next(x for x in ml[0] if x != l)
-                if len({i, j, k, l}) != 4:
-                    continue
-                cand = cr_vertex(i, j, k, l)
-                if as_diff_product(cand) == dp:
-                    return cand
-        return None
-    return None
+    """Exact signed exponent-vector form of a vertex, (sign, powers);
+    injective."""
+    return _signed_pair(_factors(v))
 
 
 def divides_oracle(nu, mu):
-    """True iff mu/nu is again a catalogue function (exact, signed)."""
+    """True iff mu/nu is again a catalogue function (exact, signed): the
+    signed pair of the quotient is that of a simple ratio on its 3 marks
+    or of a cross ratio on its 4."""
     if nu == mu:
         raise ValueError("divisibility is defined on distinct vertices")
-    q = as_diff_product(mu).divide(as_diff_product(nu))
-    return _vertex_from_diff_product(q) is not None
+    q = _signed_pair(_factors(mu) + [(a, b, -e) for a, b, e in _factors(nu)])
+    # a catalogue function has 2 or 4 factor pairs
+    if len(q[1]) > 4:
+        return False
+    marks = sorted({m for pair, _ in q[1] for m in pair})
+    if len(marks) == 3:
+        candidates = itertools.permutations(marks)
+    elif len(marks) == 4:
+        # the Klein-canonical tuples on 4 marks: the least mark first
+        candidates = ((marks[0], *p)
+                      for p in itertools.permutations(marks[1:]))
+    else:
+        return False
+    return any(as_diff_product(v) == q for v in candidates)
 
 
 def _cr_slot4_frame(t, odd):
@@ -216,29 +129,27 @@ def divides_rule(nu, mu):
     """
     if nu == mu:
         raise ValueError("divisibility is defined on distinct vertices")
-    if nu.kind == SR and mu.kind == SR:
-        i1, j1, k1 = nu.indices
-        i2, j2, k2 = mu.indices
+    if len(nu) == len(mu) == 3:
+        i1, j1, k1 = nu
+        i2, j2, k2 = mu
         if k1 == k2:
             return (i1 == i2) != (j1 == j2)
         return i1 == i2 and j1 == j2
-    if nu.kind == CR and mu.kind == CR:
-        a, b = nu.indices, mu.indices
+    if len(nu) == len(mu):
         # x: the one mark of nu outside mu (marks are positive, so 0 is
         # none yet); a second one, or none, leaves no 3-mark overlap
         x = 0
-        for m in a:
-            if m not in b:
+        for m in nu:
+            if m not in mu:
                 if x:
                     return False
                 x = m
         if not x:
             return False
-        y = next(m for m in b if m not in a)
-        return _cr_slot4_frame(a, x) == _cr_slot4_frame(b, y)
-    sr, cr = (nu, mu) if nu.kind == SR else (mu, nu)
-    a, b, c, d = cr.indices
-    return sr.indices in ((a, b, d), (b, a, c), (d, c, a), (c, d, b))
+        y = next(m for m in mu if m not in nu)
+        return _cr_slot4_frame(nu, x) == _cr_slot4_frame(mu, y)
+    sr, (a, b, c, d) = (nu, mu) if len(nu) == 3 else (mu, nu)
+    return sr in ((a, b, d), (b, a, c), (d, c, a), (c, d, b))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +160,7 @@ def divides_rule(nu, mu):
 def _shared_top_divides(nu, mu):
     """Divisibility inside the pure "sr" complex: simple ratios on one top
     mark (divides_rule alone also accepts a cross-ratio quotient)."""
-    return nu.indices[2] == mu.indices[2] and divides_rule(nu, mu)
+    return nu[2] == mu[2] and divides_rule(nu, mu)
 
 
 def _check_pairwise(vertices, divides=divides_rule):
@@ -259,9 +170,10 @@ def _check_pairwise(vertices, divides=divides_rule):
 
 
 def make_simplex(vertices):
-    """The simplex on ``vertices``: their sorted tuple, checked to be
-    non-empty, without repeats and pairwise dividing (by divides_rule)."""
-    s = tuple(sorted(vertices))
+    """The simplex on ``vertices``: their tuple in the vertex order, checked
+    to be non-empty, without repeats and pairwise dividing (by
+    divides_rule)."""
+    s = tuple(sorted(vertices, key=_order))
     if not s:
         raise ValueError("simplex must be non-empty")
     if len(set(s)) != len(s):
@@ -271,19 +183,15 @@ def make_simplex(vertices):
 
 
 def catalogue(n, family):
-    """All vertices of the given family supported on marks 1..n."""
+    """All vertices of the given family supported on marks 1..n, in the
+    vertex order."""
     vs = []
     if family in (SR, "l"):
-        for t in itertools.permutations(range(1, n + 1), 3):
-            vs.append(RatioVertex(SR, t))
+        vs += itertools.permutations(range(1, n + 1), 3)
     if family in (CR, "l"):
-        seen = set()
-        for t in itertools.permutations(range(1, n + 1), 4):
-            c = klein_canonical(t)
-            if c not in seen:
-                seen.add(c)
-                vs.append(RatioVertex(CR, c))
-    return sorted(vs)
+        vs += {klein_canonical(t)
+               for t in itertools.permutations(range(1, n + 1), 4)}
+    return sorted(vs, key=_order)
 
 
 def _top_keys(n, family):
@@ -325,8 +233,9 @@ class RatioComplex:
     relies on).  The maximal simplices are listed directly: frames for
     "cr", stars on a common (top, numerator) or (top, denominator) for
     "sr", and for "l" the frames of cr(n+1) with mark n+1 sent to infinity,
-    each vertex as its index tuple (``_top_keys``), with no vertex object
-    made per frame slot.
+    each vertex as its index tuple (``_top_keys``).
+    ``vertices`` is the catalogue in the vertex order: index tuples, cross
+    ratios first, the arity giving the kind.
     ``maximal_simplices`` holds them as sorted tuples of indices into
     ``vertices``; every vertex pair in them is checked when the complex is
     built, with divides_rule and, for "sr", a shared top mark.
@@ -342,9 +251,7 @@ class RatioComplex:
         self.n = n
         self.family = family
         self.vertices = vs = catalogue(n, family)
-        # an sr vertex has 3 indices and a cr vertex 4, so the index tuple
-        # alone names a vertex
-        index = {v.indices: i for i, v in enumerate(vs)}
+        index = {v: i for i, v in enumerate(vs)}
         self.maximal_simplices = sorted({
             tuple(sorted(index[key] for key in top))
             for top in _top_keys(n, family)})
@@ -373,7 +280,7 @@ class RatioComplex:
         return {
             "n": self.n,
             "family": self.family,
-            "vertices": [[v.kind, *v.indices] for v in self.vertices],
+            "vertices": json_vertices(self.vertices),
             "edges": [list(e) for e in self.divisibility_edges],
             "maximal_simplices": [list(t) for t in self.maximal_simplices],
         }
@@ -425,10 +332,8 @@ def homology_report(c):
 
 
 def _apply_perm_vertex(sigma, v):
-    mapped = tuple(sigma[i - 1] for i in v.indices)
-    if v.kind == SR:
-        return RatioVertex(SR, mapped)
-    return RatioVertex(CR, klein_canonical(mapped))
+    mapped = tuple(sigma[i - 1] for i in v)
+    return mapped if len(mapped) == 3 else klein_canonical(mapped)
 
 
 def act(sigma, s):
@@ -436,17 +341,17 @@ def act(sigma, s):
     permutation given as a 1-based image tuple."""
     if sorted(sigma) != list(range(1, len(sigma) + 1)):
         raise ValueError("not a permutation of 1..n")
-    if isinstance(s, RatioVertex):
+    if s and isinstance(s[0], int):
         return _apply_perm_vertex(sigma, s)
     return make_simplex([_apply_perm_vertex(sigma, v) for v in s])
 
 
 def involution(v):
     """The vertex representing the reciprocal function."""
-    if v.kind == SR:
-        i, j, k = v.indices
-        return RatioVertex(SR, (j, i, k))
-    i, j, k, l = v.indices
+    if len(v) == 3:
+        i, j, k = v
+        return (j, i, k)
+    i, j, k, l = v
     return cr_vertex(j, i, k, l)
 
 
@@ -488,7 +393,7 @@ def normal_form(vertices, n=None):
     Mixed input, or a set of same-family vertices that is not a simplex of
     the pure complex, is rejected with ValueError.
     """
-    marks = frozenset().union(*(v.support for v in vertices))
+    marks = frozenset().union(*vertices)
     top = max(marks)
     if n is None:
         n = top
@@ -496,21 +401,22 @@ def normal_form(vertices, n=None):
         raise ValueError("simplex has marks beyond n = %d" % n)
     first, last = vertices[0], vertices[-1]
     m = len(vertices) - 1
-    if first.kind == SR:
-        i, j, k = first.indices
-        if j == last.indices[1]:
+    if len(first) == 3:
+        i, j, k = first
+        if j == last[1]:
             frame, canonical = (k, j), delta_s(m)
         else:
             frame, canonical = (k, i), delta_s(m, sign=-1)
     else:
-        odd = min(first.support - last.support, default=first.indices[3])
-        frame, canonical = _cr_slot4_frame(first.indices, odd), delta_c(m)
+        odd = min(set(first).difference(last), default=first[3])
+        frame, canonical = _cr_slot4_frame(first, odd), delta_c(m)
     order = frame + tuple(sorted(marks.difference(frame)))
     sigma = _complete_permutation(
         {x: t for t, x in enumerate(order, start=1)}, n)
     # compared as vertices: relabelling keeps divisibility, so a match is a
     # pure simplex, and the pairwise re-check of act(sigma, vertices) could
-    # not fail
+    # not fail; the vertices of a pure simplex share an arity, so they sort
+    # as tuples
     moved = sorted(_apply_perm_vertex(sigma, v) for v in vertices)
     if tuple(moved) != canonical:
         raise ValueError("not a simplex of a pure complex")

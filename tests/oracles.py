@@ -13,7 +13,7 @@ sweeps over the whole factor list, ratio complexes by a pairwise
 divisibility scan, the action of the fractional-linear involution by
 floating-point root matching, three-term product identities by solving
 every candidate triple and by the rank prune tested triple by triple, the
-maximal simplices of the ratio complexes as sets of vertex objects, the
+maximal simplices of the ratio complexes as sets of vertex tuples, the
 function catalogue on the doubly punctured plane (which no verb runs), a
 polynomial read back from its JSON terms, integer resultants and discriminants by a
 subresultant remainder sequence, discriminants also by the Sylvester
@@ -81,10 +81,9 @@ from confspace.polyring import (
 )
 from confspace.ratios import (
     CR,
-    DiffProduct,
-    RatioVertex,
     _complete_permutation,
     _cr_slot4_frame,
+    _signed_pair,
     act,
     build_complex,
     catalogue,
@@ -199,7 +198,7 @@ def brute_orbit_key(simplex, n, act):
     best = None
     for images in permutations(range(1, n + 1)):
         moved = act(images, simplex)
-        key = tuple((v.kind, v.indices) for v in moved)
+        key = tuple(moved)
         if best is None or key < best:
             best = key
     return best
@@ -209,17 +208,17 @@ def _pure_family(s):
     """The family of a simplex of a pure complex, checked pair by pair, or
     None: simple ratios need a common top mark and exactly one common base
     mark, cross ratios the catalogue divisibility."""
-    kinds = {v.kind for v in s}
-    if len(kinds) != 1:
+    arities = {len(v) for v in s}
+    if len(arities) != 1:
         return None
     for a, b in combinations(s, 2):
-        if a.kind == "sr":
-            (i1, j1, k1), (i2, j2, k2) = a.indices, b.indices
+        if len(a) == 3:
+            (i1, j1, k1), (i2, j2, k2) = a, b
             if k1 != k2 or (i1 == i2) == (j1 == j2):
                 return None
         elif not divides_oracle(a, b):
             return None
-    return kinds.pop()
+    return "sr" if arities.pop() == 3 else "cr"
 
 
 def normal_form_by_cases(vs, n):
@@ -230,26 +229,26 @@ def normal_form_by_cases(vs, n):
         raise ValueError("not a simplex of a pure complex")
     m = len(vs) - 1
     if kind == "sr" and m == 0:
-        i, j, k = vs[0].indices
+        i, j, k = vs[0]
         partial, canonical = {i: 3, j: 2, k: 1}, delta_s(0)
-    elif kind == "sr" and len({v.indices[0] for v in vs}) == 1:
+    elif kind == "sr" and len({v[0] for v in vs}) == 1:
         # a common numerator: the varying denominators move upward
-        i, _, k = vs[0].indices
+        i, _, k = vs[0]
         partial, canonical = {i: 2, k: 1}, delta_s(m, sign=-1)
         partial.update((j, t) for t, j in
-                       enumerate(sorted(v.indices[1] for v in vs), start=3))
+                       enumerate(sorted(v[1] for v in vs), start=3))
     elif kind == "sr":
-        _, j, k = vs[0].indices
+        _, j, k = vs[0]
         partial, canonical = {j: 2, k: 1}, delta_s(m)
         partial.update((i, t) for t, i in
-                       enumerate(sorted(v.indices[0] for v in vs), start=3))
+                       enumerate(sorted(v[0] for v in vs), start=3))
     elif m == 0:
-        a, b, c, d = vs[0].indices
+        a, b, c, d = vs[0]
         partial, canonical = {a: 1, b: 2, c: 3, d: 4}, delta_c(0)
     else:
-        common = frozenset.intersection(*(v.support for v in vs))
-        odd = [next(iter(v.support - common)) for v in vs]
-        (frame,) = {_cr_slot4_frame(v.indices, x) for v, x in zip(vs, odd)}
+        common = frozenset.intersection(*map(frozenset, vs))
+        odd = [next(iter(frozenset(v) - common)) for v in vs]
+        (frame,) = {_cr_slot4_frame(v, x) for v, x in zip(vs, odd)}
         partial = dict(zip(frame, (1, 2, 3)))
         partial.update((x, t) for t, x in enumerate(sorted(odd), start=4))
         canonical = delta_c(m)
@@ -273,7 +272,8 @@ def orbit_decomposition_by_simplices(n, family, m):
 
 @lru_cache(maxsize=None)
 def divisibility_graph(n, family):
-    """Sorted vertices on marks 1..n and their divisibility graph.
+    """The vertices on marks 1..n, sorted by (kind, index tuple), and their
+    divisibility graph.
 
     Every pair is tested with ``divides_oracle``: all pairs for "l", the
     cross-ratio pairs for "cr", and for "sr" the simple-ratio pairs with a
@@ -282,15 +282,15 @@ def divisibility_graph(n, family):
     marks = range(1, n + 1)
     vertices = []
     if family in ("sr", "l"):
-        vertices += [RatioVertex("sr", t) for t in permutations(marks, 3)]
+        vertices += permutations(marks, 3)
     if family in ("cr", "l"):
         vertices += {cr_vertex(*t) for t in permutations(marks, 4)}
-    vertices.sort()
+    vertices.sort(key=lambda v: ("sr" if len(v) == 3 else "cr", v))
     graph = networkx.Graph()
     graph.add_nodes_from(range(len(vertices)))
     for a, b in combinations(range(len(vertices)), 2):
         va, vb = vertices[a], vertices[b]
-        if family == "sr" and va.indices[2] != vb.indices[2]:
+        if family == "sr" and va[2] != vb[2]:
             continue
         if divides_oracle(va, vb):
             graph.add_edge(a, b)
@@ -1297,7 +1297,8 @@ def enumerate_punctured(m):
 
     Marks m+1, m+2, m+3 are pinned to 0, 1 and infinity; every function is
     a four-mark ratio on the extended set, with the infinity factors
-    cancelling.  Returns the catalogue as DiffProducts over marks 1..m+2,
+    cancelling.  Returns the catalogue as signed pairs (sign, powers), like
+    ``ratios.as_diff_product``, over marks 1..m+2,
     where m+1 stands for the value 0 and m+2 for the value 1.
     """
     if m < 1:
@@ -1305,31 +1306,31 @@ def enumerate_punctured(m):
     inf = m + 3
     out = []
     for v in catalogue(m + 3, CR):
-        i, j, k, l = v.indices
-        factors = [((l, i), 1), ((j, k), 1), ((l, j), -1), ((i, k), -1)]
+        i, j, k, l = v
+        factors = [(l, i, 1), (j, k, 1), (l, j, -1), (i, k, -1)]
         kept = []
         sign = 1
-        for (top, bottom), e in factors:
+        for top, bottom, e in factors:
             if top == inf:
                 continue  # (q - mark) over the escaping mark tends to 1
             if bottom == inf:
                 # the escaping mark enters negated; its limit leaves a sign
                 sign = -sign if e % 2 else sign
                 continue
-            kept.append(((top, bottom), e))
-        dp = DiffProduct.from_factors(kept)
-        if sign < 0:
-            dp = DiffProduct(-dp.scalar, dp.powers)
-        out.append(dp)
+            kept.append((top, bottom, e))
+        kept_sign, powers = _signed_pair(kept)
+        out.append((sign * kept_sign, powers))
     if len(set(out)) != len(out):
         raise AssertionError("catalogue entries are not distinct")
     return out
 
 
 def diff_product_value(dp, values):
-    """Exact value of a DiffProduct at a point; indices map to Fractions."""
-    acc = Fraction(dp.scalar)
-    for (a, b), e in dp.powers:
+    """Exact value of a signed pair (sign, powers) at a point; indices map
+    to Fractions."""
+    sign, powers = dp
+    acc = Fraction(sign)
+    for (a, b), e in powers:
         d = Fraction(values[a]) - Fraction(values[b])
         if d == 0:
             raise ZeroDivisionError("marks %d and %d collide" % (a, b))
@@ -1367,9 +1368,9 @@ def star_tops(n):
 
 def from_infinity(v, inf):
     """v with q_inf sent to infinity: cr(i, j, inf, k) becomes sr(i, j, k)."""
-    if inf not in v.indices:
+    if inf not in v:
         return v
-    j, i, k = _cr_slot4_frame(v.indices, inf)
+    j, i, k = _cr_slot4_frame(v, inf)
     return sr_vertex(i, j, k)
 
 

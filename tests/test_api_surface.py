@@ -38,8 +38,8 @@ TEST_FACING = {
 # the same for methods, as Class.method
 TEST_FACING_METHODS = {
     "braid": {
-        "Perm.cycles", "Perm.identity", "Perm.is_identity", "Perm.order",
-        "SymHom.apply",
+        "BraidWord.inverse", "Perm.cycles", "Perm.identity", "Perm.inverse",
+        "Perm.is_identity", "Perm.order", "SymHom.apply",
     },
     "polyring": {"MultiPoly.evaluate"},
 }

@@ -1,7 +1,5 @@
-import copy
 import itertools
 import json
-import pickle
 import random
 from fractions import Fraction
 from math import comb, gcd
@@ -18,8 +16,7 @@ from confspace.identities import (
     verify_abc,
 )
 from confspace.ratios import (
-    DiffProduct,
-    RatioVertex,
+    _signed_pair,
     act,
     as_diff_product,
     build_complex,
@@ -33,7 +30,6 @@ from confspace.ratios import (
     euler_characteristic,
     homology_report,
     involution,
-    klein_canonical,
     make_simplex,
     normal_form,
     orbit_decomposition,
@@ -55,119 +51,46 @@ from oracles import (
 )
 
 
-def test_vertex_validation():
-    with pytest.raises(ValueError):
-        sr_vertex(1, 1, 2)
-    with pytest.raises(ValueError):
-        RatioVertex("cr", (2, 1, 3, 4))  # not Klein-canonical
-    assert cr_vertex(2, 1, 3, 4) == RatioVertex("cr", klein_canonical((2, 1, 3, 4)))
-
-
-def test_vertex_validation_messages():
-    for args, message in ((("xx", (1, 2, 3)), "kind must be 'sr' or 'cr'"),
-                          (("sr", (1, 2)), "sr vertex needs 3 indices"),
-                          (("cr", (1, 2, 3)), "cr vertex needs 4 indices"),
-                          (("sr", (1, 1, 2)),
-                           "indices must be pairwise distinct"),
-                          (("sr", (0, 1, 2)), "indices must be positive"),
-                          (("cr", (2, 1, 3, 4)),
-                           "cross-ratio indices must be Klein-canonical")):
-        with pytest.raises(ValueError) as err:
-            RatioVertex(*args)
-        assert str(err.value) == message
-    with pytest.raises(ValueError) as err:
-        DiffProduct(2, ())
-    assert str(err.value) == "scalar must be +1 or -1"
-
-
-def _ratio_values():
-    """(value, an equal value built from equal fields, a different value,
-    the tuple of its fields)."""
-    dp = (((1, 2), 1), ((2, 3), -1))
-    return [
-        (sr_vertex(1, 2, 3), RatioVertex("sr", (1, 2, 3)),
-         sr_vertex(2, 1, 3), ("sr", (1, 2, 3))),
-        (cr_vertex(1, 2, 3, 4), RatioVertex(kind="cr", indices=(1, 2, 3, 4)),
-         cr_vertex(1, 2, 4, 3), ("cr", (1, 2, 3, 4))),
-        (DiffProduct(1, dp), DiffProduct(scalar=1, powers=dp),
-         DiffProduct(-1, dp), (1, dp)),
-    ]
-
-
-@pytest.mark.parametrize("value, same, other, fields", _ratio_values(),
-                         ids=lambda v: type(v).__name__)
-def test_ratio_value_types_compare_by_fields(value, same, other, fields):
-    assert value == same and not value != same
-    assert hash(value) == hash(same) == hash(fields)
-    assert value != other and not value == other
-    assert value != fields and not value == fields
-    assert len({value, same, other}) == 2
-    assert copy.copy(value) == value and copy.deepcopy(value) == value
-    assert pickle.loads(pickle.dumps(value)) == value
-    before = repr(value)
-    for name in ("kind", "indices", "scalar", "powers", "extra"):
-        with pytest.raises(AttributeError):
-            setattr(value, name, 0)
-        with pytest.raises(AttributeError):
-            delattr(value, name)
-    assert repr(value) == before
-
-
-def test_ratio_value_type_reprs():
-    assert repr(sr_vertex(1, 2, 3)) == "RatioVertex(kind='sr', indices=(1, 2, 3))"
-    assert repr(cr_vertex(2, 1, 4, 3)) == (
-        "RatioVertex(kind='cr', indices=(1, 2, 3, 4))")
-    assert repr(DiffProduct(-1, (((1, 2), 1),))) == (
-        "DiffProduct(scalar=-1, powers=(((1, 2), 1),))")
-    assert repr(DiffProduct(1, ())) == "DiffProduct(scalar=1, powers=())"
+def _times(a, b, e=1):
+    """a * b**e for signed pairs (sign, powers), with e = 1 or -1."""
+    powers = dict(a[1])
+    for pair, x in b[1]:
+        powers[pair] = powers.get(pair, 0) + e * x
+    return a[0] * b[0], tuple(sorted(item for item in powers.items()
+                                     if item[1]))
 
 
 def test_vertices_order_as_kind_then_indices():
-    vs = catalogue(5, "l")
-    random.Random(3).shuffle(vs)
-    for v, w in itertools.product(vs[:40], repeat=2):
-        key_v, key_w = (v.kind, v.indices), (w.kind, w.indices)
-        assert (v < w) == (key_v < key_w)
-        assert (v <= w) == (key_v <= key_w)
-        assert (v > w) == (key_v > key_w)
-        assert (v >= w) == (key_v >= key_w)
-    assert sorted(vs) == sorted(vs, key=lambda v: (v.kind, v.indices))
-    with pytest.raises(TypeError):
-        sr_vertex(1, 2, 3) < ("sr", (1, 2, 3))
-    with pytest.raises(TypeError):
-        DiffProduct(1, ()) < DiffProduct(-1, ())
+    # cross ratios first, then by index tuple, in the catalogue and in
+    # every simplex
+    kind = {3: "sr", 4: "cr"}
+    for n in range(4, 8):
+        vs = catalogue(n, "l")
+        assert vs == sorted(vs, key=lambda v: (kind[len(v)], v))
+        # every cross ratio before every simple ratio
+        assert [len(v) for v in vs] == sorted(map(len, vs), reverse=True)
+    s = make_simplex([sr_vertex(1, 2, 3), cr_vertex(1, 2, 4, 3)])
+    assert s == (cr_vertex(1, 2, 4, 3), sr_vertex(1, 2, 3))
 
 
 def test_simple_ratio_diff_product():
-    dp = as_diff_product(sr_vertex(3, 2, 1))
-    assert dp.scalar == 1
-    assert dict(dp.powers) == {(1, 3): 1, (1, 2): -1}
+    sign, powers = as_diff_product(sr_vertex(3, 2, 1))
+    assert sign == 1
+    assert dict(powers) == {(1, 3): 1, (1, 2): -1}
 
 
 def test_cross_ratio_diff_product():
-    dp = as_diff_product(cr_vertex(1, 2, 3, 4))
-    assert dict(dp.powers) == {(1, 4): 1, (2, 3): 1, (2, 4): -1, (1, 3): -1}
-    assert dp.scalar == 1
+    sign, powers = as_diff_product(cr_vertex(1, 2, 3, 4))
+    assert dict(powers) == {(1, 4): 1, (2, 3): 1, (2, 4): -1, (1, 3): -1}
+    assert sign == 1
 
 
 def test_klein_images_share_diff_product():
     for t in itertools.permutations((1, 2, 3, 4)):
         i, j, k, l = t
-        dp = DiffProduct.from_factors(
-            [((l, i), 1), ((j, k), 1), ((l, j), -1), ((i, k), -1)])
+        dp = _signed_pair([(l, i, 1), (j, k, 1), (l, j, -1), (i, k, -1)])
         canonical = as_diff_product(cr_vertex(*t))
         assert dp == canonical
-
-
-def test_diff_product_group_laws():
-    rng = random.Random(2)
-    vs = catalogue(6, "l")
-    for _ in range(50):
-        a, b = rng.choice(vs), rng.choice(vs)
-        da, db = as_diff_product(a), as_diff_product(b)
-        assert da * db == db * da
-        assert (da * db).divide(db) == da
-        assert da.divide(da).powers == ()
 
 
 def test_divides_examples():
@@ -176,8 +99,8 @@ def test_divides_examples():
     assert not divides_oracle(sr_vertex(2, 3, 1), sr_vertex(3, 2, 1))
     # product decomposition: sr_ijk = sr_ilk * sr_ljk
     lhs = as_diff_product(sr_vertex(3, 2, 1))
-    rhs = as_diff_product(sr_vertex(3, 4, 1)) * as_diff_product(
-        sr_vertex(4, 2, 1))
+    rhs = _times(as_diff_product(sr_vertex(3, 4, 1)),
+                 as_diff_product(sr_vertex(4, 2, 1)))
     assert lhs == rhs
 
 
@@ -192,16 +115,16 @@ def test_divides_requires_distinct():
 def test_mixed_pair_divides():
     # cr_ijlk = sr_ijk * sr_jil
     i, j, k, l = 1, 2, 3, 4
-    quotient = as_diff_product(cr_vertex(i, j, l, k)).divide(
-        as_diff_product(sr_vertex(i, j, k)))
+    quotient = _times(as_diff_product(cr_vertex(i, j, l, k)),
+                      as_diff_product(sr_vertex(i, j, k)), -1)
     assert quotient == as_diff_product(sr_vertex(j, i, l))
     assert divides_oracle(sr_vertex(i, j, k), cr_vertex(i, j, l, k))
 
 
 def test_shared_base_simple_pairs_have_cross_quotient():
     # sharing both base marks forces the quotient into the four-mark family
-    q = as_diff_product(sr_vertex(1, 2, 3)).divide(
-        as_diff_product(sr_vertex(1, 2, 4)))
+    q = _times(as_diff_product(sr_vertex(1, 2, 3)),
+               as_diff_product(sr_vertex(1, 2, 4)), -1)
     assert q == as_diff_product(cr_vertex(1, 2, 4, 3))
     assert divides_oracle(sr_vertex(1, 2, 4), sr_vertex(1, 2, 3))
     assert divides_rule(sr_vertex(1, 2, 4), sr_vertex(1, 2, 3))
@@ -219,10 +142,10 @@ def test_simple_rule_pairs_share_numerator_or_denominator():
     # share the top mark and one base mark
     cat = catalogue(5, "sr")
     for a, b in itertools.combinations(cat, 2):
-        quotient = as_diff_product(b).divide(as_diff_product(a))
-        if len(quotient.powers) == 2 and divides_oracle(a, b):
-            i1, j1, k1 = a.indices
-            i2, j2, k2 = b.indices
+        _, powers = _times(as_diff_product(b), as_diff_product(a), -1)
+        if len(powers) == 2 and divides_oracle(a, b):
+            i1, j1, k1 = a
+            i2, j2, k2 = b
             assert k1 == k2 and (i1 == i2 or j1 == j2)
 
 
@@ -333,8 +256,8 @@ def test_l_is_cr_with_a_mark_at_infinity(n):
     l_vertices, l_graph = divisibility_graph(n, "l")
     cr_vertices, cr_graph = divisibility_graph(n + 1, "cr")
     cr_index = {v: i for i, v in enumerate(cr_vertices)}
-    image = [cr_index[cr_vertex(v.indices[0], v.indices[1], n + 1,
-                                v.indices[2]) if v.kind == "sr" else v]
+    image = [cr_index[cr_vertex(v[0], v[1], n + 1, v[2])
+                      if len(v) == 3 else v]
              for v in l_vertices]
     assert sorted(image) == list(range(len(cr_vertices)))
     assert ({frozenset((image[a], image[b])) for a, b in l_graph.edges}
@@ -377,9 +300,9 @@ def test_mixed_maximal_cliques_have_one_simple_vertex():
     for n in (4, 5, 6):
         c = build_complex(n, "l")
         for t in c.maximal_simplices:
-            kinds = [c.vertices[i].kind for i in t]
-            if "sr" in kinds and "cr" in kinds:
-                assert kinds.count("sr") == 1
+            arities = [len(c.vertices[i]) for i in t]
+            if 3 in arities and 4 in arities:
+                assert arities.count(3) == 1
 
 
 def test_complex_build_checks_pairs_without_oracle(monkeypatch):
@@ -402,7 +325,7 @@ def _with_extra_top(monkeypatch, *extra):
     monkeypatch.setattr(
         ratios, "_top_keys",
         lambda n, family: [*top_keys(n, family),
-                           tuple(v.indices for v in extra)])
+                           tuple(extra)])
 
 
 def test_complex_build_refuses_a_non_dividing_top(monkeypatch):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import confspace
-from confspace import _Value, braid, ratios
+from confspace import _Value, braid
 
 # every module of the package but its entry points
 LAYERS = tuple(
@@ -36,9 +36,6 @@ EXAMPLES = {
         braid.BraidWord(4, (1, 2, -3))),
     "SymHom": lambda: braid.SymHom(
         3, 3, (braid.Perm.transposition(3, 1),) * 2),
-    "RatioVertex": lambda: ratios.cr_vertex(2, 1, 4, 3),
-    "DiffProduct": lambda: ratios.DiffProduct.from_factors(
-        [((2, 1), 1), ((2, 3), -1)]),
 }
 
 
